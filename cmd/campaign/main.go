@@ -216,7 +216,7 @@ func main() {
 	defer stop()
 	cfg := fleet.Config{
 		Org: mmpu.Custom(*n, *banks, *perBank), M: *m, K: *k, ECCEnabled: eccOn, Scheme: scheme,
-		Repair: repairSel.Config,
+		Repair:  repairSel.Config,
 		Workers: workers, Seed: seed, Telemetry: tel.Registry(),
 	}
 	runWith := func(c fleet.Config, serPoint float64) campaign.Tally {

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/serve"
@@ -24,29 +27,38 @@ func computeOpts(admit int64) options {
 	return o
 }
 
-// TestDefaultReportMatchesGolden pins the no-compute CLI surface: the
-// exact flags the CI smoke runs must render byte-identically to the
-// checked-in pre-compute golden. Any new report field that leaks into
-// the default path (a forgotten omitempty) fails here before it fails
-// in CI.
+// TestDefaultReportMatchesGolden pins whole reports, byte for byte, to
+// checked-in goldens rendered from the same command lines. The default
+// golden is the exact flags the CI smoke runs: a new report field leaking
+// into the default path (a forgotten omitempty) fails here first. The
+// others pin what no shape test does: admission with every probe series,
+// the closed loop over uneven bank shards, and the model-based fault
+// overlay with online repair.
 func TestDefaultReportMatchesGolden(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden_default.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := options{
-		n: 90, m: 15, k: 2, banks: 16, perBank: 2, ecc: true,
-		mode: "open", mix: "uniform", requests: 20000, clients: 8,
-		rate: 0.2, writeFrac: 0.5, width: 32,
-		batch: 32, scrubPeriod: 500, faultSER: 3e5, faultHours: 1, seed: 1,
-	}
-	out, _, err := run(o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, golden) {
-		t.Fatalf("default report drifted from testdata/golden_default.json (%d vs %d bytes)",
-			len(out), len(golden))
+	for _, tc := range []struct{ golden, flags string }{
+		{"golden_default.json", "-seed 1 -requests 20000 -scrub-period 500 -faults-ser 3e5"},
+		{"golden_admit_telemetry.json", "-seed 1 -requests 8000 -tenants client=50/50/0,batch=0/0/100 -admit 400 -telemetry"},
+		{"golden_closed_zipf.json", "-seed 3 -mode closed -mix zipf -workers 3 -requests 6000 -scrub-period 300 -faults-ser 3e5"},
+		{"golden_stuck_repair.json", "-seed 1 -requests 6000 -banks 4 -scrub-period 300 -faults-ser 3e5 -faults-model stuck1 -repair verify+spare -spares 256"},
+	} {
+		t.Run(strings.TrimSuffix(tc.golden, ".json"), func(t *testing.T) {
+			golden, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, tel, _, err := parseFlags(flag.NewFlagSet("loadgen", flag.ContinueOnError), strings.Fields(tc.flags))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := run(o, tel.Registry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, golden) {
+				t.Fatalf("loadgen %s drifted from testdata/%s (%d vs %d bytes)",
+					tc.flags, tc.golden, len(out), len(golden))
+			}
+		})
 	}
 }
 

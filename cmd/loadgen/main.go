@@ -40,7 +40,6 @@ import (
 	"repro/internal/area"
 	"repro/internal/cliflags"
 	"repro/internal/ecc"
-	"repro/internal/fleet"
 	"repro/internal/mmpu"
 	"repro/internal/pmem"
 	"repro/internal/repair"
@@ -130,8 +129,8 @@ type report struct {
 		Uncorrectable int64 `json:"uncorrectable"`
 		Injected      int64 `json:"injected"`
 	} `json:"served"`
-	LatencyTicks fleet.HistSummary `json:"latency_ticks"`
-	Ticks        int64             `json:"ticks"`
+	LatencyTicks telemetry.HistSummary `json:"latency_ticks"`
+	Ticks        int64                 `json:"ticks"`
 	// ThroughputPerKilotick is served requests per 1000 model ticks —
 	// the deterministic throughput figure of the E9 table.
 	ThroughputPerKilotick float64          `json:"throughput_per_kilotick"`
@@ -152,14 +151,14 @@ type report struct {
 // tenantReport is one tenant's slice of the report: its op counts and
 // latency distribution (P99 is the per-tenant SLO figure E13 sweeps).
 type tenantReport struct {
-	Name                  string            `json:"name"`
-	Requests              int64             `json:"requests"`
-	Reads                 int64             `json:"reads"`
-	Writes                int64             `json:"writes"`
-	Computes              int64             `json:"computes"`
-	Errors                int64             `json:"errors"`
-	ThroughputPerKilotick float64           `json:"throughput_per_kilotick"`
-	LatencyTicks          fleet.HistSummary `json:"latency_ticks"`
+	Name                  string                `json:"name"`
+	Requests              int64                 `json:"requests"`
+	Reads                 int64                 `json:"reads"`
+	Writes                int64                 `json:"writes"`
+	Computes              int64                 `json:"computes"`
+	Errors                int64                 `json:"errors"`
+	ThroughputPerKilotick float64               `json:"throughput_per_kilotick"`
+	LatencyTicks          telemetry.HistSummary `json:"latency_ticks"`
 }
 
 // repairReport is the self-healing block of the report: the active policy
@@ -377,48 +376,61 @@ func run(o options, reg *telemetry.Registry) ([]byte, serve.Result, error) {
 	return buf.Bytes(), res, nil
 }
 
-func main() {
-	var o options
+// parseFlags parses a loadgen command line into the report options, the
+// telemetry flags, and the -schemes selection ("" = the standard report).
+func parseFlags(fs *flag.FlagSet, args []string) (o options, tel *cliflags.Telemetry, schemes string, err error) {
 	var geo cliflags.Geometry
 	var eccSel cliflags.ECC
-	var tel cliflags.Telemetry
 	var repairSel cliflags.Repair
 	var traffic cliflags.Traffic
-	cliflags.RegisterGeometry(flag.CommandLine, &geo,
+	tel = new(cliflags.Telemetry)
+	cliflags.RegisterGeometry(fs, &geo,
 		cliflags.Geometry{N: 90, M: 15, K: 2, Banks: 16, PerBank: 2})
-	cliflags.RegisterECC(flag.CommandLine, &eccSel)
-	cliflags.RegisterRepair(flag.CommandLine, &repairSel)
-	cliflags.RegisterTraffic(flag.CommandLine, &traffic)
-	flag.StringVar(&o.mode, "mode", "open", "client model: "+strings.Join(serve.ModeNames(), ", "))
-	flag.StringVar(&o.mix, "mix", "uniform", "address mix: "+strings.Join(serve.MixNames(), ", "))
-	flag.IntVar(&o.requests, "requests", 20000, "total requests")
-	flag.IntVar(&o.clients, "clients", 8, "client streams")
-	flag.Float64Var(&o.rate, "rate", 0.2, "open loop: mean arrivals per tick")
-	flag.Float64Var(&o.writeFrac, "writefrac", 0.5, "fraction of writes")
-	flag.IntVar(&o.width, "width", 32, "request width in bits (1..64)")
-	cliflags.RegisterWorkers(flag.CommandLine, &o.workers,
+	cliflags.RegisterECC(fs, &eccSel)
+	cliflags.RegisterRepair(fs, &repairSel)
+	cliflags.RegisterTraffic(fs, &traffic)
+	fs.StringVar(&o.mode, "mode", "open", "client model: "+strings.Join(serve.ModeNames(), ", "))
+	fs.StringVar(&o.mix, "mix", "uniform", "address mix: "+strings.Join(serve.MixNames(), ", "))
+	fs.IntVar(&o.requests, "requests", 20000, "total requests")
+	fs.IntVar(&o.clients, "clients", 8, "client streams")
+	fs.Float64Var(&o.rate, "rate", 0.2, "open loop: mean arrivals per tick")
+	fs.Float64Var(&o.writeFrac, "writefrac", 0.5, "fraction of writes")
+	fs.IntVar(&o.width, "width", 32, "request width in bits (1..64)")
+	cliflags.RegisterWorkers(fs, &o.workers,
 		"modeled bank workers (0 = one per bank); fewer workers = more queueing")
-	flag.IntVar(&o.batch, "batch", 32, "max requests coalesced per batch")
-	flag.Int64Var(&o.scrubPeriod, "scrub-period", 2000, "ticks between admitted crossbar scrubs per worker (0 = off); total scrub work scales with -workers")
-	flag.Float64Var(&o.faultSER, "faults-ser", 0, "fault overlay rate [FIT/bit] (0 = off)")
-	flag.Float64Var(&o.faultHours, "faults-hours", 1, "fault overlay exposure per scrub window [hours]")
-	flag.StringVar(&o.faultModel, "faults-model", "",
+	fs.IntVar(&o.batch, "batch", 32, "max requests coalesced per batch")
+	fs.Int64Var(&o.scrubPeriod, "scrub-period", 2000, "ticks between admitted crossbar scrubs per worker (0 = off); total scrub work scales with -workers")
+	fs.Float64Var(&o.faultSER, "faults-ser", 0, "fault overlay rate [FIT/bit] (0 = off)")
+	fs.Float64Var(&o.faultHours, "faults-hours", 1, "fault overlay exposure per scrub window [hours]")
+	fs.StringVar(&o.faultModel, "faults-model", "",
 		"fault overlay model (e.g. stuck1; empty = transient flips); requires -faults-ser")
-	cliflags.RegisterSeed(flag.CommandLine, &o.seed,
+	cliflags.RegisterSeed(fs, &o.seed,
 		"trace and fault seed (the report is reproducible from this)")
-	schemesFlag := flag.String("schemes", "",
+	fs.StringVar(&schemes, "schemes", "",
 		"replay the identical trace under 'all' or a comma-separated list of schemes and emit the throughput-tax/area matrix instead of the standard report")
-	cliflags.RegisterTelemetry(flag.CommandLine, &tel)
-	flag.Parse()
-
-	eccSel.Resolve()
-	repairSel.Resolve()
-	traffic.Resolve()
+	cliflags.RegisterTelemetry(fs, tel)
+	if err = fs.Parse(args); err != nil {
+		return
+	}
+	for _, resolve := range []func() error{eccSel.ResolveErr, repairSel.ResolveErr, traffic.ResolveErr} {
+		if err = resolve(); err != nil {
+			return
+		}
+	}
 	o.n, o.m, o.k, o.banks, o.perBank = geo.N, geo.M, geo.K, geo.Banks, geo.PerBank
 	o.ecc, o.scheme = eccSel.Enabled, eccSel.Scheme
 	o.repairCfg = repairSel.Config
 	o.compute, o.tenants, o.admit = traffic.Compute, traffic.Mixes, traffic.Admit
 	o.telemetry = tel.Snapshot
+	return
+}
+
+func main() {
+	o, tel, schemes, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	stop, err := tel.Serve()
 	if err != nil {
@@ -427,8 +439,8 @@ func main() {
 	}
 	defer stop()
 
-	if *schemesFlag != "" {
-		out, err := runSchemeMatrix(o, *schemesFlag)
+	if schemes != "" {
+		out, err := runSchemeMatrix(o, schemes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

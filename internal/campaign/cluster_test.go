@@ -79,7 +79,7 @@ func TestPlainDiagonalLineClusterDetected(t *testing.T) {
 func TestInterleavedX2SplitsPairs(t *testing.T) {
 	r := newRunner(t, Config{
 		Machine: clusterMachineCfg("diagonal-x2"), Verify: true,
-		Model:   fixedFaults{[]faults.Fault{{Kind: faults.RowLine, Row: 20, Col: 30, Span: 2}}},
+		Model: fixedFaults{[]faults.Fault{{Kind: faults.RowLine, Row: 20, Col: 30, Span: 2}}},
 	}, 5)
 	rep := r.Round()
 	if rep.Injected != 2 || rep.Counts[Corrected] != 2 {
@@ -88,7 +88,7 @@ func TestInterleavedX2SplitsPairs(t *testing.T) {
 
 	r = newRunner(t, Config{
 		Machine: clusterMachineCfg("diagonal-x2"), Verify: true,
-		Model:   fixedFaults{[]faults.Fault{{Kind: faults.RowLine, Row: 20, Col: 30, Span: 4}}},
+		Model: fixedFaults{[]faults.Fault{{Kind: faults.RowLine, Row: 20, Col: 30, Span: 4}}},
 	}, 5)
 	rep = r.Round()
 	if rep.Injected != 4 || rep.Counts[DetectedUncorrectable] != 4 {

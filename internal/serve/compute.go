@@ -7,11 +7,11 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/circuits"
-	"repro/internal/fleet"
 	"repro/internal/machine"
 	"repro/internal/netlist"
 	"repro/internal/pmem"
 	"repro/internal/synth"
+	"repro/internal/telemetry"
 )
 
 // ComputePlan is a prepared SIMD compute pipeline: a SIMPLER mapping plus
@@ -194,27 +194,27 @@ type TenantStats struct {
 	Writes   int64
 	Computes int64
 	Errors   int64
-	Lat      fleet.Hist // same time base as Stats.Lat
+	Lat      telemetry.Hist // same time base as Stats.Lat
 }
 
-// mergeTenants combines index-aligned per-tenant tallies field-wise.
+// mergeTenants combines index-aligned per-tenant tallies field-wise into a
+// fresh slice as long as the longer of the two.
 func mergeTenants(a, b []TenantStats) []TenantStats {
-	if len(b) == 0 {
-		return a
+	if len(a) < len(b) {
+		a, b = b, a
 	}
-	if len(a) == 0 {
-		a = make([]TenantStats, len(b))
-	}
-	for i := range b {
-		if a[i].Name == "" {
-			a[i].Name = b[i].Name
+	out := append([]TenantStats(nil), a...)
+	for i, t := range b {
+		o := &out[i]
+		if o.Name == "" {
+			o.Name = t.Name
 		}
-		a[i].Requests += b[i].Requests
-		a[i].Reads += b[i].Reads
-		a[i].Writes += b[i].Writes
-		a[i].Computes += b[i].Computes
-		a[i].Errors += b[i].Errors
-		a[i].Lat = a[i].Lat.Merge(b[i].Lat)
+		o.Requests += t.Requests
+		o.Reads += t.Reads
+		o.Writes += t.Writes
+		o.Computes += t.Computes
+		o.Errors += t.Errors
+		o.Lat = o.Lat.Merge(t.Lat)
 	}
-	return a
+	return out
 }

@@ -117,6 +117,23 @@ func TestMultiTenantReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestStatsMergeUnevenTenants: merging tenant breakdowns of different
+// lengths keeps every tenant, in either order, and leaves both inputs
+// untouched.
+func TestStatsMergeUnevenTenants(t *testing.T) {
+	one := Stats{Requests: 3, Tenants: []TenantStats{{Name: "a", Requests: 3, Reads: 3}}}
+	two := Stats{Requests: 5, Tenants: []TenantStats{{Name: "a", Requests: 1, Writes: 1}, {Name: "b", Requests: 4, Computes: 4}}}
+	want := []TenantStats{{Name: "a", Requests: 4, Reads: 3, Writes: 1}, {Name: "b", Requests: 4, Computes: 4}}
+	for _, m := range []Stats{one.Merge(two), two.Merge(one)} {
+		if m.Requests != 8 || !reflect.DeepEqual(m.Tenants, want) {
+			t.Fatalf("merge = %d requests, tenants %+v; want 8, %+v", m.Requests, m.Tenants, want)
+		}
+	}
+	if one.Tenants[0].Requests != 3 || two.Tenants[0].Requests != 1 {
+		t.Fatal("Merge mutated its inputs")
+	}
+}
+
 // TestComputeStormECCConformance replays a compute-heavy mix (no fault
 // overlay) under every registered protection scheme, then audits the
 // memory: the critical-update protocol plus the post-pipeline reconcile

@@ -8,7 +8,6 @@ import (
 	"repro/internal/ecc"
 	"repro/internal/faults"
 	"repro/internal/machine"
-	"repro/internal/mmpu"
 	"repro/internal/pmem"
 	"repro/internal/telemetry"
 )
@@ -115,16 +114,10 @@ type ReplayConfig struct {
 	// per-crossbar stream derived from Seed.
 	FaultSER   float64
 	FaultHours float64
-	// ComputeAdmit is the admission-control budget bounding how long a
-	// bank's compute burst may starve pending client requests: per service
-	// round a worker admits compute requests only while their modeled cost
-	// (machine.Config.ComputeCost, in ticks — the same currency the clock
-	// advances by) stays under this budget, deferring the rest behind the
-	// next client drain. A client request arriving behind a compute burst
-	// therefore waits at most ~one budget plus one in-flight pipeline; at
-	// least one compute is admitted per round so a compute-only bank still
-	// drains. 0 — the default — is pure FIFO: computes serve strictly in
-	// arrival order, byte-identical to pre-admission replays.
+	// ComputeAdmit is the live server's Config.ComputeAdmit budget, applied
+	// by the same admission code; its modeled cost is in ticks, the
+	// currency the clock advances by. 0 — the default — is pure FIFO,
+	// byte-identical to pre-admission replays.
 	ComputeAdmit int64
 	// FaultModel selects the overlay's fault model (faults.ModelByName).
 	// Empty keeps the historical transient-flip stream byte-identical;
@@ -172,54 +165,17 @@ type Result struct {
 	PerWorker []int64    // each modeled worker's final clock
 }
 
-// Merge combines two results field-wise (slices align by index; clocks —
-// per-worker and the makespan — take the max, so max(PerWorker) == Ticks
-// stays true). Commutative and associative, like fleet.Result.
-func (r Result) Merge(o Result) Result {
-	m := Result{Stats: r.Stats.Merge(o.Stats), Workers: r.Workers, Ticks: r.Ticks}
-	if o.Workers > m.Workers {
-		m.Workers = o.Workers
-	}
-	if o.Ticks > m.Ticks {
-		m.Ticks = o.Ticks
-	}
-	nb := len(r.PerBank)
-	if len(o.PerBank) > nb {
-		nb = len(o.PerBank)
-	}
-	if nb > 0 {
-		m.PerBank = make([]BankLoad, nb)
-		copy(m.PerBank, r.PerBank)
-		for i, b := range o.PerBank {
-			m.PerBank[i].Requests += b.Requests
-			m.PerBank[i].Scrubs += b.Scrubs
-		}
-	}
-	nw := len(r.PerWorker)
-	if len(o.PerWorker) > nw {
-		nw = len(o.PerWorker)
-	}
-	if nw > 0 {
-		m.PerWorker = make([]int64, nw)
-		copy(m.PerWorker, r.PerWorker)
-		for i, c := range o.PerWorker {
-			if c > m.PerWorker[i] {
-				m.PerWorker[i] = c
-			}
-		}
-	}
-	return m
-}
-
 // Replay executes a trace against the memory in deterministic virtual
 // time. Each modeled worker serves the arrival-ordered merge of its
 // banks' traces on one clock: the clock jumps to the next arrival when
 // idle, a batch is every eligible request up to BatchSize (coalesced by
 // the executor), each request's completion advances the clock by its
 // cost, and its latency is completion minus arrival — queueing delay,
-// worker contention, and scrub interference included. Between batches at
-// most one crossbar scrub is admitted per ScrubPeriod ticks, optionally
-// preceded by the fault overlay.
+// worker contention, and scrub interference included. Admission, the
+// scrub rotation and the accounting are the live server's (core); only the
+// scrub trigger is the replay's own: after a round, one crossbar scrub
+// once ScrubPeriod ticks have passed since the previous scrub ended,
+// optionally preceded by the fault overlay.
 //
 // Workers are simulated concurrently (they own disjoint banks, and
 // traces are bank-confined), so real parallelism changes only how fast
@@ -260,30 +216,24 @@ func Replay(cfg ReplayConfig, tr *Trace) (Result, error) {
 			}
 		}
 	}
-	scrubs := make([][]int64, workers) // per worker: scrubs per owned bank
-	shards := org.ShardBanks(workers)
 	tel := replayProbes(cfg.Telemetry)
 	tel.bindTenants(cfg.Telemetry, tr.Tenants)
 	var wg sync.WaitGroup
-	for w, banks := range shards {
-		for _, b := range banks {
-			res.PerBank[b].Requests = int64(len(tr.PerBank[b]))
-		}
+	for w, banks := range org.ShardBanks(workers) {
 		wg.Add(1)
 		go func(w int, banks []int) {
 			defer wg.Done()
-			res.PerWorker[w], scrubs[w] = replayWorker(cfg, model, org, banks, tr, closed, &stats[w], tel)
+			var scrubs []int64
+			res.PerWorker[w], scrubs = replayWorker(cfg, model, banks, tr, closed, &stats[w], tel)
+			for i, b := range banks { // workers own disjoint banks
+				res.PerBank[b] = BankLoad{Requests: int64(len(tr.PerBank[b])), Scrubs: scrubs[i]}
+			}
 		}(w, banks)
 	}
 	wg.Wait()
 	for w := range stats {
 		res.Stats = res.Stats.Merge(stats[w])
-		if res.PerWorker[w] > res.Ticks {
-			res.Ticks = res.PerWorker[w]
-		}
-		for i, b := range shards[w] {
-			res.PerBank[b].Scrubs = scrubs[w][i]
-		}
+		res.Ticks = max(res.Ticks, res.PerWorker[w])
 	}
 	return res, nil
 }
@@ -319,62 +269,29 @@ func mergeStreams(tr *Trace, banks []int) []TimedReq {
 
 // replayWorker simulates one modeled worker's service timeline over its
 // banks, returning its final clock and per-owned-bank scrub counts.
-func replayWorker(cfg ReplayConfig, model faults.Model, org mmpu.Organization, banks []int, tr *Trace, closed bool, st *Stats, tel probes) (int64, []int64) {
+func replayWorker(cfg ReplayConfig, model faults.Model, banks []int, tr *Trace, closed bool, st *Stats, tel probes) (clock int64, scrubs []int64) {
 	reqs := mergeStreams(tr, banks)
-	ex := executor{mem: cfg.Mem, org: org}
-	sCost := scrubCost(cfg.Mem.Config())
-	verify := cfg.Mem.Config().Repair.Enabled()
-	wSur := writeSurcharge(cfg.Mem.Config())
-	cost := computeCostFor(cfg.Mem.Config())
-	bankSlot := make(map[int]int, len(banks)) // bank → index in banks
-	var xbs [][2]int                          // scrub rotation over the worker's crossbars
-	for i, b := range banks {
-		bankSlot[b] = i
-		for x := 0; x < org.PerBank; x++ {
-			xbs = append(xbs, [2]int{b, x})
-		}
+	mc := cfg.Mem.Config()
+	sCost, verify, wSur := scrubCost(mc), mc.Repair.Enabled(), writeSurcharge(mc)
+	c := newCore[TimedReq](cfg.Mem, banks, cfg.BatchSize, cfg.ComputeAdmit, st, tel,
+		func() int64 { return clock })
+	if cfg.FaultSER > 0 {
+		c.inject = faultOverlay(cfg, model)
 	}
-	var (
-		clock      int64
-		nextScrub  = cfg.ScrubPeriod
-		cursor     int
-		bankScrubs = make([]int64, len(banks))
-		injs       map[[2]int]*faults.Injector
-		rngs       map[[2]int]*rand.Rand // model-based overlay streams
-		prevDone   map[int]int64         // closed loop: client → completion of previous round
-		batch      = make([]Request, 0, cfg.BatchSize)
-		btq        = make([]TimedReq, 0, cfg.BatchSize) // the round actually served, in service order
-		deferred   []TimedReq                           // computes held over under the admission budget
-	)
+	var prevDone map[int]int64 // closed loop: client → completion of its previous round
 	if closed {
 		prevDone = make(map[int]int64)
 	}
-	if tel.enabled {
-		ex.coalesce = func(bank, xb, row, merged int) {
-			tel.ring.Emit(telemetry.EvCoalesce, clock, bank, xb, int64(merged), int64(row))
-		}
-	}
-	if cfg.FaultSER > 0 {
-		if model != nil {
-			rngs = make(map[[2]int]*rand.Rand)
-		} else {
-			injs = make(map[[2]int]*faults.Injector)
-		}
-	}
-	hours := cfg.FaultHours
-	if hours <= 0 {
-		hours = 1
-	}
-	for i := 0; i < len(reqs) || len(deferred) > 0; {
-		// The clock jumps to the next arrival only when no deferred work
-		// is pending — deferred computes are already past their arrival
-		// and must keep draining at the current time.
-		if !closed && len(deferred) == 0 && reqs[i].At > clock {
+	nextScrub := cfg.ScrubPeriod
+	for i := 0; i < len(reqs) || len(c.held) > 0; {
+		// The clock jumps to the next arrival only when no computes are
+		// held over — those are already past their arrival and must keep
+		// draining at the current time.
+		if !closed && len(c.held) == 0 && reqs[i].At > clock {
 			clock = reqs[i].At // idle until the next arrival
 		}
-		// The eligible new-arrival window [i, j). With no deferral this
-		// reproduces the historical batching exactly (the first request is
-		// always eligible: closed trivially, open via the clock jump).
+		// The eligible new-arrival window [i, j): the first request is
+		// always eligible (closed trivially, open via the clock jump).
 		j := i
 		if i < len(reqs) {
 			if closed {
@@ -387,97 +304,66 @@ func replayWorker(cfg ReplayConfig, model faults.Model, org mmpu.Organization, b
 				}
 			}
 		}
-		// Assemble the service round. Admission control serves the
-		// window's client requests first, then admits computes (oldest
-		// deferred first) while the budget lasts — at least one per round,
-		// so a compute-monopolized bank still drains. The loop re-checks
-		// arrivals each round, so a client request arriving behind a
-		// compute burst waits at most ~one budget plus one pipeline.
-		btq = btq[:0]
-		if cfg.ComputeAdmit <= 0 {
-			btq = append(btq, reqs[i:j]...)
-		} else {
-			comps := deferred
-			for _, tq := range reqs[i:j] {
-				if tq.Req.Op == OpCompute {
-					comps = append(comps, tq)
-				} else {
-					btq = append(btq, tq)
-				}
-			}
-			var spent int64
-			adm := 0
-			for adm < len(comps) && (adm == 0 || spent < cfg.ComputeAdmit) {
-				spent += cost(comps[adm].Req.Plan)
-				adm++
-			}
-			btq = append(btq, comps[:adm]...)
-			deferred = comps[adm:]
-		}
+		round := c.admit(reqs[i:j])
 		i = j
-		batch = batch[:0]
-		for _, tq := range btq {
-			batch = append(batch, tq.Req)
-		}
-		st.Batches++
-		tel.batches.Inc()
-		tel.backlog.Observe(int64(len(btq)))
-		ex.run(batch, func(k int, resp Response, info execInfo) {
+		tel.backlog.Observe(int64(len(round)))
+		c.serve(round, func(k int, resp Response, info execInfo) {
+			tq := round[k]
 			var charge int64
 			if info.compute {
-				charge = cost(btq[k].Req.Plan)
+				charge = c.cost(tq.Req.Plan)
 				st.ComputeTicks += charge
 			} else {
 				charge = reqCost(info, verify, wSur)
 			}
 			clock += charge
-			tq := btq[k]
 			arrived := tq.At
 			if closed {
 				arrived = prevDone[tq.Client]
 				prevDone[tq.Client] = clock
 			}
-			st.tally(resp, info)
 			lat := clock - arrived
-			st.Lat.Observe(lat)
-			st.tallyTenant(tq.Tenant, resp, info, lat)
-			tel.tally(resp, info)
-			tel.tallyTenant(tq.Tenant, lat)
-			tel.latency.Observe(lat)
+			c.record(resp, info, lat, tq.Tenant)
 			tel.service.Observe(charge)
 			tel.wait.Observe(lat - charge)
 		})
-		if cfg.ScrubPeriod > 0 && clock >= nextScrub && len(xbs) > 0 {
-			bx := xbs[cursor]
-			cursor = (cursor + 1) % len(xbs)
-			switch {
-			case model != nil:
-				rng := rngs[bx]
-				if rng == nil {
-					rng = rand.New(rand.NewSource(
-						faults.DeriveSeed(cfg.Seed^0x5e7e, bx[0], bx[1])))
-					rngs[bx] = rng
-				}
-				st.Injected += int64(cfg.Mem.InjectModel(bx[0], bx[1], model, rng, hours))
-			case cfg.FaultSER > 0:
-				inj := injs[bx]
-				if inj == nil {
-					inj = faults.NewInjector(cfg.FaultSER,
-						faults.DeriveSeed(cfg.Seed^0x5e7e, bx[0], bx[1]))
-					injs[bx] = inj
-				}
-				st.Injected += int64(cfg.Mem.InjectWindow(bx[0], bx[1], inj, hours))
-			}
-			c, u := cfg.Mem.ScrubCrossbar(bx[0], bx[1])
-			clock += sCost
-			st.Scrubs++
-			bankScrubs[bankSlot[bx[0]]]++
-			st.Corrected += int64(c)
-			st.Uncorrectable += int64(u)
-			tel.scrubAdm.Inc()
-			tel.ring.Emit(telemetry.EvAdmission, clock, bx[0], bx[1], clock, 0)
+		if cfg.ScrubPeriod > 0 && clock >= nextScrub {
+			clock += sCost // the scrub holds the worker; its admission is stamped at its end
+			c.scrub()
 			nextScrub = clock + cfg.ScrubPeriod
 		}
 	}
-	return clock, bankScrubs
+	return clock, c.scrubs
+}
+
+// faultOverlay returns the replay's pre-scrub fault injection: a
+// soft-error window (or, with a fault model, a model draw) of FaultHours
+// exposure over the crossbar about to be scrubbed, from a per-crossbar
+// stream derived from Seed.
+func faultOverlay(cfg ReplayConfig, model faults.Model) func(bank, xb int) int {
+	hours := cfg.FaultHours
+	if hours <= 0 {
+		hours = 1
+	}
+	seed := func(bank, xb int) int64 { return faults.DeriveSeed(cfg.Seed^0x5e7e, bank, xb) }
+	if model != nil {
+		rngs := make(map[[2]int]*rand.Rand)
+		return func(bank, xb int) int {
+			rng := rngs[[2]int{bank, xb}]
+			if rng == nil {
+				rng = rand.New(rand.NewSource(seed(bank, xb)))
+				rngs[[2]int{bank, xb}] = rng
+			}
+			return cfg.Mem.InjectModel(bank, xb, model, rng, hours)
+		}
+	}
+	injs := make(map[[2]int]*faults.Injector)
+	return func(bank, xb int) int {
+		inj := injs[[2]int{bank, xb}]
+		if inj == nil {
+			inj = faults.NewInjector(cfg.FaultSER, seed(bank, xb))
+			injs[[2]int{bank, xb}] = inj
+		}
+		return cfg.Mem.InjectWindow(bank, xb, inj, hours)
+	}
 }

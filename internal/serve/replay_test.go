@@ -169,27 +169,6 @@ func TestReplayClosedLoopLatencyCoversWait(t *testing.T) {
 	}
 }
 
-// TestReplayResultMergeOrderIndependent: Result merging (used to fold
-// per-worker shards and to combine runs) is commutative — the shared
-// property the latency histograms inherit from fleet.Hist.
-func TestReplayResultMergeOrderIndependent(t *testing.T) {
-	a := replayOnce(t, 2, TraceOpts{Mode: "open", Requests: 500, Seed: 1}, ReplayConfig{})
-	b := replayOnce(t, 3, TraceOpts{Mode: "open", Mix: "scan", Requests: 700, Width: 32, Seed: 2}, ReplayConfig{ScrubPeriod: 100})
-	ab, ba := a.Merge(b), b.Merge(a)
-	if !reflect.DeepEqual(ab, ba) {
-		t.Fatal("Result.Merge not commutative")
-	}
-	if ab.Stats.Requests != 1200 || ab.Stats.Lat.N != 1200 {
-		t.Fatalf("merged counts wrong: %+v", ab.Stats)
-	}
-	// The makespan invariant survives merging: no worker clock exceeds it.
-	for i, c := range ab.PerWorker {
-		if c > ab.Ticks {
-			t.Fatalf("merged worker %d clock %d exceeds makespan %d", i, c, ab.Ticks)
-		}
-	}
-}
-
 // TestReplayScanCoalesces: a scanning client stream on wide rows hits the
 // open row repeatedly, so the executor must report coalesced service.
 func TestReplayScanCoalesces(t *testing.T) {

@@ -20,8 +20,9 @@
 // pmem's per-bank locks, not worker ownership, are the safety boundary.
 //
 // Latency is accounted per request (submit to response) into a mergeable
-// fleet.Hist. For the deterministic virtual-time counterpart used by
-// cmd/loadgen, see Replay.
+// telemetry.Hist. For the deterministic virtual-time counterpart used by
+// cmd/loadgen, see Replay; both engines run each bank worker through the
+// same core (core.go), so they differ only in their clocks.
 package serve
 
 import (
@@ -31,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/mmpu"
 	"repro/internal/pmem"
 	"repro/internal/telemetry"
@@ -75,9 +75,6 @@ type Response struct {
 // queues under, so a racing Submit either enqueues before the close or
 // returns this error — it can never send on a closed queue.
 var ErrServerClosed = errors.New("serve: server closed")
-
-// ErrClosed is the historical name of ErrServerClosed.
-var ErrClosed = ErrServerClosed
 
 // Config sizes a server.
 type Config struct {
@@ -142,7 +139,7 @@ type Stats struct {
 	Uncorrectable int64
 	Injected      int64 // fault-overlay flips (Replay only)
 
-	Lat fleet.Hist // live server: wall nanoseconds; Replay: model ticks
+	Lat telemetry.Hist // live server: wall nanoseconds; Replay: model ticks
 }
 
 // Merge returns the field-wise combination of two stats.
@@ -153,7 +150,7 @@ func (s Stats) Merge(o Stats) Stats {
 		Writes:        s.Writes + o.Writes,
 		Computes:      s.Computes + o.Computes,
 		ComputeTicks:  s.ComputeTicks + o.ComputeTicks,
-		Tenants:       mergeTenants(append([]TenantStats(nil), s.Tenants...), o.Tenants),
+		Tenants:       mergeTenants(s.Tenants, o.Tenants),
 		Errors:        s.Errors + o.Errors,
 		Batches:       s.Batches + o.Batches,
 		Coalesced:     s.Coalesced + o.Coalesced,
@@ -165,52 +162,6 @@ func (s Stats) Merge(o Stats) Stats {
 		Injected:      s.Injected + o.Injected,
 		Lat:           s.Lat.Merge(o.Lat),
 	}
-}
-
-// tally records one served request into the stats (latency excluded —
-// the live and replay paths account time differently).
-func (s *Stats) tally(resp Response, info execInfo) {
-	s.Requests++
-	switch {
-	case info.compute:
-		s.Computes++
-	case info.write:
-		s.Writes++
-	default:
-		s.Reads++
-	}
-	if resp.Err != nil {
-		s.Errors++
-	}
-	if info.coalesced {
-		s.Coalesced++
-	}
-	if info.segments > 1 {
-		s.Spanning++
-	}
-	s.Segments += int64(info.segments)
-}
-
-// tallyTenant records one served request into the tenant breakdown
-// (no-op when the index is outside the trace's tenant list).
-func (s *Stats) tallyTenant(tenant int, resp Response, info execInfo, lat int64) {
-	if tenant < 0 || tenant >= len(s.Tenants) {
-		return
-	}
-	ts := &s.Tenants[tenant]
-	ts.Requests++
-	switch {
-	case info.compute:
-		ts.Computes++
-	case info.write:
-		ts.Writes++
-	default:
-		ts.Reads++
-	}
-	if resp.Err != nil {
-		ts.Errors++
-	}
-	ts.Lat.Observe(lat)
 }
 
 // call carries a request through a worker queue.
@@ -302,7 +253,7 @@ func (s *Server) Submit(req Request) (<-chan Response, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, ErrClosed
+		return nil, ErrServerClosed
 	}
 	s.queues[s.bankWorker[bank]] <- c
 	return c.resp, nil
@@ -329,7 +280,7 @@ func (s *Server) Write(addr int64, width int, data uint64) error {
 }
 
 // Close drains the queues, stops the workers, and returns the merged
-// service statistics. Further submissions fail with ErrClosed.
+// service statistics. Further submissions fail with ErrServerClosed.
 func (s *Server) Close() Stats {
 	s.mu.Lock()
 	if !s.closed {
@@ -347,133 +298,55 @@ func (s *Server) Close() Stats {
 	return total
 }
 
-// worker owns a set of banks: it serves its queue in coalesced batches
-// and admits scrub work between batches under the ScrubEvery budget.
+// worker owns a set of banks: it drains its queue into service rounds and
+// runs them through the shared core. The live scrub trigger is request
+// count: one crossbar scrub per ScrubEvery served requests, the remainder
+// carried to the next round.
 func (s *Server) worker(w int, banks []int) {
 	defer s.wg.Done()
-	st := &s.stats[w]
-	ex := executor{mem: s.cfg.Mem, org: s.org}
-	if s.tel.enabled {
-		ex.coalesce = func(bank, xb, row, merged int) {
-			s.tel.ring.Emit(telemetry.EvCoalesce, time.Now().UnixNano(),
-				bank, xb, int64(merged), int64(row))
-		}
-	}
-	var xbs [][2]int // scrub rotation over this worker's crossbars
-	for _, b := range banks {
-		for x := 0; x < s.org.PerBank; x++ {
-			xbs = append(xbs, [2]int{b, x})
-		}
-	}
-	cursor, credit := 0, 0
-	calls := make([]*call, 0, s.cfg.BatchSize)
-	reqs := make([]Request, 0, s.cfg.BatchSize)
-	var deferred []*call // computes held over under the admission budget
-	cost := computeCostFor(s.cfg.Mem.Config())
+	c := newCore[*call](s.cfg.Mem, banks, s.cfg.BatchSize, s.cfg.ComputeAdmit, &s.stats[w], s.tel,
+		func() int64 { return time.Now().UnixNano() })
 	q := s.queues[w]
+	window := make([]*call, 0, s.cfg.BatchSize)
+	credit, open := 0, true
 	for {
-		open := true
-		if len(deferred) == 0 {
-			c, ok := <-q
-			if !ok {
-				return
-			}
-			calls = append(calls[:0], c)
-		} else {
-			// Deferred compute work is pending: pick up arrivals without
-			// blocking so the held-back pipelines keep making progress.
-			calls = calls[:0]
-			select {
-			case c, ok := <-q:
-				if !ok {
-					open = false
-				} else {
-					calls = append(calls, c)
-				}
-			default:
-			}
-		}
-		if open {
-		drain:
-			for len(calls) < s.cfg.BatchSize {
+		// Block for the first arrival only when the worker is idle; with
+		// requests in hand or computes held over, take what is queued.
+		window = window[:0]
+	drain:
+		for open && len(window) < s.cfg.BatchSize {
+			var x *call
+			if len(window) == 0 && len(c.held) == 0 {
+				x, open = <-q
+			} else {
 				select {
-				case c2, ok2 := <-q:
-					if !ok2 {
-						open = false
-						break drain
-					}
-					calls = append(calls, c2)
+				case x, open = <-q:
 				default:
 					break drain
 				}
 			}
-		}
-		round := calls
-		if s.cfg.ComputeAdmit > 0 {
-			// Admission control: this round's client requests go first,
-			// then computes (oldest deferred first) while their modeled
-			// cost stays under the budget — at least one per round, so a
-			// compute-monopolized bank still drains.
-			var clients, comps []*call
-			for _, c := range calls {
-				if c.req.Op == OpCompute {
-					comps = append(comps, c)
-				} else {
-					clients = append(clients, c)
-				}
+			if open {
+				window = append(window, x)
 			}
-			comps = append(deferred, comps...)
-			var spent int64
-			adm := 0
-			for adm < len(comps) && (adm == 0 || spent < s.cfg.ComputeAdmit) {
-				spent += cost(comps[adm].req.Plan)
-				adm++
-			}
-			deferred = comps[adm:]
-			round = append(clients, comps[:adm]...)
 		}
+		round := c.admit(window)
 		if len(round) == 0 {
-			if !open && len(deferred) == 0 {
-				return
-			}
-			continue
+			return // closed, drained, and nothing held over
 		}
-		reqs = reqs[:0]
-		for _, c := range round {
-			reqs = append(reqs, c.req)
-		}
-		st.Batches++
-		s.tel.batches.Inc()
 		if s.tel.enabled {
 			s.tel.queueDepth.Set(int64(len(q)))
 			start := time.Now()
-			for _, c := range round {
-				s.tel.wait.Observe(start.Sub(c.t0).Nanoseconds())
+			for _, x := range round {
+				s.tel.wait.Observe(start.Sub(x.t0).Nanoseconds())
 			}
 		}
-		ex.run(reqs, func(i int, resp Response, info execInfo) {
-			st.tally(resp, info)
-			lat := time.Since(round[i].t0).Nanoseconds()
-			st.Lat.Observe(lat)
-			s.tel.tally(resp, info)
-			s.tel.latency.Observe(lat)
+		c.serve(round, func(i int, resp Response, info execInfo) {
+			c.record(resp, info, time.Since(round[i].t0).Nanoseconds(), -1)
 			round[i].resp <- resp
 		})
-		if s.cfg.ScrubEvery > 0 && len(xbs) > 0 {
-			credit += len(round)
-			for credit >= s.cfg.ScrubEvery {
-				credit -= s.cfg.ScrubEvery
-				bx := xbs[cursor]
-				cursor = (cursor + 1) % len(xbs)
-				c, u := s.cfg.Mem.ScrubCrossbar(bx[0], bx[1])
-				st.Scrubs++
-				st.Corrected += int64(c)
-				st.Uncorrectable += int64(u)
-				s.tel.scrubAdm.Inc()
-				if s.tel.enabled {
-					now := time.Now().UnixNano()
-					s.tel.ring.Emit(telemetry.EvAdmission, now, bx[0], bx[1], now, 0)
-				}
+		if s.cfg.ScrubEvery > 0 {
+			for credit += len(round); credit >= s.cfg.ScrubEvery; credit -= s.cfg.ScrubEvery {
+				c.scrub()
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/mmpu"
 	"repro/internal/pmem"
+	"repro/internal/telemetry"
 )
 
 // testMem builds a fresh protected memory for serving tests.
@@ -173,11 +174,48 @@ func TestServerValidatesRequests(t *testing.T) {
 	if st.Errors != 2 {
 		t.Fatalf("error tally = %d, want 2", st.Errors)
 	}
-	if _, err := srv.Submit(Request{Op: OpRead, Addr: 0, Width: 8}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close submit error = %v, want ErrClosed", err)
+	if _, err := srv.Submit(Request{Op: OpRead, Addr: 0, Width: 8}); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("post-close submit error = %v, want ErrServerClosed", err)
 	}
 	if st2 := srv.Close(); st2.Requests != st.Requests {
 		t.Fatal("second Close diverged")
+	}
+}
+
+// TestServerScrubBudgetAndRotation pins the live scrub trigger and the
+// rotation: one worker serving one sequential client admits exactly one
+// scrub per ScrubEvery requests, visiting its crossbars bank-major —
+// (0,0), (0,1), (1,0), (1,1), then around again.
+func TestServerScrubBudgetAndRotation(t *testing.T) {
+	const every, reqs = 8, 100
+	mem := testMem(t, 45, 15, 2, 2)
+	reg := telemetry.New()
+	srv, err := New(Config{Mem: mem, Workers: 1, ScrubEvery: every, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < reqs; k++ {
+		if err := srv.Write(int64(k%40)*64, 64, uint64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := srv.Close()
+	if st.Scrubs != reqs/every {
+		t.Fatalf("admitted %d scrubs for %d requests at ScrubEvery %d, want %d", st.Scrubs, reqs, every, reqs/every)
+	}
+	var visits [][2]int32
+	for _, e := range reg.Events().Recent(0) {
+		if e.Kind == telemetry.EvAdmission {
+			visits = append(visits, [2]int32{e.Bank, e.Xbar})
+		}
+	}
+	if len(visits) != reqs/every {
+		t.Fatalf("%d admission events for %d scrubs", len(visits), reqs/every)
+	}
+	for i, v := range visits {
+		if want := [2]int32{int32(i / 2 % 2), int32(i % 2)}; v != want {
+			t.Fatalf("scrub %d visited (bank, xbar) %v, want %v", i, v, want)
+		}
 	}
 }
 

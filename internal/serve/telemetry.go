@@ -57,15 +57,6 @@ func (p *probes) bindTenants(reg *telemetry.Registry, names []string) {
 	}
 }
 
-// tallyTenant mirrors Stats.tallyTenant onto the tenant series.
-func (p probes) tallyTenant(t int, lat int64) {
-	if t < 0 || t >= len(p.tenants) {
-		return
-	}
-	p.tenants[t].reqs.Inc()
-	p.tenants[t].lat.Observe(lat)
-}
-
 // commonProbes resolves the series shared by the live and replay paths.
 func commonProbes(reg *telemetry.Registry) probes {
 	return probes{
@@ -111,26 +102,4 @@ func replayProbes(reg *telemetry.Registry) probes {
 	p.wait = reg.Histogram("serve_wait_ticks")
 	p.service = reg.Histogram("serve_service_ticks")
 	return p
-}
-
-// tally mirrors Stats.tally onto the live series.
-func (p probes) tally(resp Response, info execInfo) {
-	switch {
-	case info.compute:
-		p.computeReqs.Inc()
-	case info.write:
-		p.writeReqs.Inc()
-	default:
-		p.readReqs.Inc()
-	}
-	if resp.Err != nil {
-		p.errors.Inc()
-	}
-	if info.coalesced {
-		p.coalesced.Inc()
-	}
-	if info.segments > 1 {
-		p.spanning.Inc()
-	}
-	p.segments.Add(int64(info.segments))
 }
