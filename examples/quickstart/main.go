@@ -36,8 +36,9 @@ func main() {
 	m.InjectDataFault(17, 31)
 	fmt.Printf("injected soft error at (17,31): %v → %v\n", before, m.MEM().Get(17, 31))
 
-	// ...and the periodic scrub finds and repairs it, via syndromes
-	// computed with MAGIC XOR3 inside the check memory.
+	// ...and the periodic scrub finds and repairs it from the block
+	// syndromes — the XOR folds the paper's check memory computes with
+	// MAGIC XOR3, here evaluated word-parallel.
 	corrected, uncorrectable := m.Scrub()
 	fmt.Printf("scrub: corrected=%d uncorrectable=%d; bit restored: %v\n",
 		corrected, uncorrectable, m.MEM().Get(17, 31) == before)

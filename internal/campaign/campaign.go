@@ -2,8 +2,8 @@
 // paper's ECC guarantee — every single error per block between scrubs is
 // corrected, every double is detected, and nothing is ever silently
 // miscorrected — end-to-end, by injecting faults from an adversarial model
-// (internal/faults), running the full protected machine (MEM + CMEM +
-// shifters + controller), and adjudicating every injected fault against a
+// (internal/faults), running the full protected machine (MEM, check bits
+// and controller), and adjudicating every injected fault against a
 // golden fault-free reference machine driven by the identical workload.
 //
 // Each adjudicated fault lands in exactly one outcome bucket:
@@ -31,10 +31,9 @@
 //
 // Verdicts are additionally cross-checked against each scheme's bit-serial
 // reference decoder (ecc.Scheme.ReferenceCheck) over the pre-scrub state —
-// tying the production check path (the word-parallel, pipelined CMEM for
-// the diagonal code; the packed word decoders for the generic backends)
-// back to the mathematical code, in the same spirit as bitmat/ref.go and
-// the xbar bit-serial reference model.
+// tying the production check path (each scheme's word-parallel check and
+// correct) back to the mathematical code, in the same spirit as
+// bitmat/ref.go and the xbar bit-serial reference model.
 //
 // The engine is scheme-generic: the machine configuration names any
 // registered protection code (ecc.SchemeByName), and adjudication works

@@ -130,8 +130,14 @@ func (c *CMEM) Geometry() ecc.Params { return c.geom }
 
 // LoadFrom initializes the check-bit crossbars for an existing MEM image —
 // the write path of a freshly programmed protected memory.
-func (c *CMEM) LoadFrom(mem *bitmat.Mat) {
-	cb := ecc.Build(c.geom, mem)
+func (c *CMEM) LoadFrom(mem *bitmat.Mat) { c.LoadImage(ecc.Build(c.geom, mem)) }
+
+// LoadImage sets the check-bit crossbars to a logical check-bit state (the
+// dual of Image); the geometries must match.
+func (c *CMEM) LoadImage(cb *ecc.CheckBits) {
+	if cb.Params() != c.geom {
+		panic(fmt.Sprintf("cmem: check bits for %+v, CMEM protects %+v", cb.Params(), c.geom))
+	}
 	s := c.geom.BlocksPerSide()
 	for d := 0; d < c.cfg.M; d++ {
 		for br := 0; br < s; br++ {
@@ -165,25 +171,6 @@ func (c *CMEM) FlipCheckBit(f shifter.Family, d, br, bc int) {
 		c.lead[d].Flip(br, bc)
 	} else {
 		c.counter[d].Flip(br, bc)
-	}
-}
-
-// CheckBit reads one stored check bit (controller maintenance path — the
-// write-verify metadata sweep reads a block's stored state through this).
-func (c *CMEM) CheckBit(f shifter.Family, d, br, bc int) bool {
-	if f == shifter.Leading {
-		return c.lead[d].Get(br, bc)
-	}
-	return c.counter[d].Get(br, bc)
-}
-
-// SetCheckBit writes a stored check bit directly (controller maintenance
-// path, e.g. re-establishing parity over a scratch region).
-func (c *CMEM) SetCheckBit(f shifter.Family, d, br, bc int, v bool) {
-	if f == shifter.Leading {
-		c.lead[d].Set(br, bc, v)
-	} else {
-		c.counter[d].Set(br, bc, v)
 	}
 }
 

@@ -11,8 +11,9 @@
 //	ecc       diagonal parity code: update, syndrome, decode, correct
 //	shifter   barrel shifters routing MEM lines to diagonal order
 //	cmem      check memory: check-bit crossbars, XOR3 processing
-//	          crossbars, checking crossbar
-//	machine   integrated protected PIM unit (MEM+CMEM+controllers)
+//	          crossbars, checking crossbar (gate-level spec model)
+//	machine   integrated protected PIM unit (MEM + check bits in one
+//	          ecc.Scheme + controllers)
 //	netlist   gate-level IR and NOR lowering
 //	synth     SIMPLER single-row mapper (baseline latency)
 //	eccsched  ECC-extended greedy scheduler (Table I)

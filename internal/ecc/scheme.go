@@ -21,9 +21,10 @@ package ecc
 //
 // Registered backends (SchemeByName, mirroring faults.ModelByName):
 //
-//   - "diagonal": the paper's code, adapting the word-parallel CheckBits
-//     with zero hot-path change (the cycle-accurate CMEM keeps driving the
-//     same CheckBits math; this adapter is the logical image of it).
+//   - "diagonal": the paper's code, adapting the word-parallel CheckBits.
+//     It is the production path of the diagonal code; the gate-level CMEM
+//     (internal/cmem) computes the same math cycle by cycle and is pinned
+//     to this adapter by a differential test.
 //   - "hamming": horizontal Hamming SEC-DED over M-bit words, promoted
 //     from the bench-only strawman in hamming.go to a full scrubbing and
 //     correcting backend.
@@ -288,11 +289,16 @@ func newDiagonalScheme(p Params, mem *bitmat.Mat) Scheme {
 	return &diagonalScheme{cb: Build(p, mem)}
 }
 
-// DiagonalFromCheckBits wraps an existing check-bit state (e.g. the CMEM's
-// exported logical image) as a Scheme, so scheme-generic consumers — the
-// campaign's reference decoder above all — can treat the cycle-accurate
-// diagonal pipeline like any other backend.
-func DiagonalFromCheckBits(cb *CheckBits) Scheme { return &diagonalScheme{cb: cb} }
+// DiagonalCheckBits returns the live check-bit state of a diagonal-scheme
+// instance (mutations are visible to the scheme), or nil for any other
+// code. Family/diagonal addressing is specific to this code, so check-bit
+// fault injection and the gate-level CMEM model reach the state here.
+func DiagonalCheckBits(s Scheme) *CheckBits {
+	if d, ok := s.(*diagonalScheme); ok {
+		return d.cb
+	}
+	return nil
+}
 
 func (s *diagonalScheme) Name() string   { return SchemeDiagonal }
 func (s *diagonalScheme) Params() Params { return s.cb.Params() }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitmat"
-	"repro/internal/cmem"
-	"repro/internal/ecc"
 	"repro/internal/shifter"
 	"repro/internal/synth"
 )
@@ -13,8 +11,8 @@ import (
 // This file is the transposed execution path: the SIMPLER program lives
 // in a single *column* and runs simultaneously across the selected
 // columns (Fig 1b). Everything dualizes — gates become in-column NORs,
-// the inputs occupy block-rows, critical updates arrive at the CMEM with
-// ColParallel orientation, and the pre-execution check walks input
+// the inputs occupy block-rows, critical updates arrive at the check bits
+// with ColParallel orientation, and the pre-execution check walks input
 // block-rows. The paper's diagonal placement exists precisely so that
 // both orientations update check bits with the same Θ(1) discipline;
 // this executor (with its tests) demonstrates that symmetry on the
@@ -31,31 +29,18 @@ func (m *Machine) ExecuteSIMDCols(mp *synth.Mapping, cols *bitmat.Vec) error {
 	if m.Protected() {
 		inputBlocks := (mp.Netlist.NumInputs() + m.cfg.M - 1) / m.cfg.M
 		for br := 0; br < inputBlocks; br++ {
-			m.inputChecks++
-			if m.sch != nil {
-				for bc := 0; bc < m.cfg.N/m.cfg.M; bc++ {
-					for _, d := range m.sch.CorrectBlock(m.mem.Mat(), br, bc) {
-						m.tallyDiag(d)
-					}
-				}
-				continue
-			}
-			diags := m.cm.CheckLine(m.mem, shifter.ColParallel, br, br%m.cfg.K)
-			for _, d := range diags {
-				m.tallyDiag(d)
-			}
+			m.inputCheck(shifter.ColParallel, br)
 		}
 	}
 
-	pc := 0
 	for _, s := range mp.Steps {
 		switch s.Kind {
 		case synth.StepInit:
 			m.mem.InitRowsInCols(s.Init, cols)
 		case synth.StepConst:
-			m.writeRowUniform(s.Cell, s.Value, cols, s.Critical, &pc)
+			m.writeRowUniform(s.Cell, s.Value, cols, s.Critical)
 		case synth.StepGate:
-			m.gateCols(s, cols, &pc)
+			m.gateCols(s, cols)
 		}
 	}
 	m.reconcileWorkingRows(mp)
@@ -63,7 +48,7 @@ func (m *Machine) ExecuteSIMDCols(mp *synth.Mapping, cols *bitmat.Vec) error {
 }
 
 // gateCols executes one (possibly critical) column-parallel MAGIC step.
-func (m *Machine) gateCols(s synth.Step, cols *bitmat.Vec, pc *int) {
+func (m *Machine) gateCols(s synth.Step, cols *bitmat.Vec) {
 	critical := s.Critical && m.Protected()
 	var old *bitmat.Vec
 	if critical {
@@ -78,12 +63,12 @@ func (m *Machine) gateCols(s synth.Step, cols *bitmat.Vec, pc *int) {
 	if critical {
 		newRow := m.mem.Mat().Row(s.Cell).Clone()
 		m.mem.Tick()
-		m.criticalUpdate(shifter.ColParallel, s.Cell, old, newRow, cols, pc)
+		m.criticalUpdate(shifter.ColParallel, s.Cell, old, newRow, cols)
 	}
 }
 
 // writeRowUniform drives a constant into row r of every selected column.
-func (m *Machine) writeRowUniform(r int, v bool, cols *bitmat.Vec, criticalStep bool, pc *int) {
+func (m *Machine) writeRowUniform(r int, v bool, cols *bitmat.Vec, criticalStep bool) {
 	critical := criticalStep && m.Protected()
 	var old *bitmat.Vec
 	if critical {
@@ -109,7 +94,7 @@ func (m *Machine) writeRowUniform(r int, v bool, cols *bitmat.Vec, criticalStep 
 	if critical {
 		newRow := m.mem.Mat().Row(r).Clone()
 		m.mem.Tick()
-		m.criticalUpdate(shifter.ColParallel, r, old, newRow, cols, pc)
+		m.criticalUpdate(shifter.ColParallel, r, old, newRow, cols)
 	}
 }
 
@@ -122,22 +107,9 @@ func (m *Machine) reconcileWorkingRows(mp *synth.Mapping) {
 	}
 	firstBR := mp.Netlist.NumInputs() / m.cfg.M
 	lastBR := (mp.RowSize - 1) / m.cfg.M
-	if m.sch != nil {
-		for br := firstBR; br <= lastBR; br++ {
-			for bc := 0; bc < m.cfg.N/m.cfg.M; bc++ {
-				m.sch.RebuildBlock(m.mem.Mat(), br, bc)
-			}
-		}
-		return
-	}
-	p := ecc.Params{N: m.cfg.N, M: m.cfg.M}
-	want := ecc.Build(p, m.mem.Mat())
 	for br := firstBR; br <= lastBR; br++ {
-		for bc := 0; bc < p.BlocksPerSide(); bc++ {
-			for d := 0; d < m.cfg.M; d++ {
-				m.cm.SetCheckBit(shifter.Leading, d, br, bc, want.Lead(d, br, bc))
-				m.cm.SetCheckBit(shifter.Counter, d, br, bc, want.Counter(d, br, bc))
-			}
+		for bc := 0; bc < m.cfg.N/m.cfg.M; bc++ {
+			m.sch.RebuildBlock(m.mem.Mat(), br, bc)
 		}
 	}
 }
@@ -150,17 +122,13 @@ func (m *Machine) LoadInputsCols(mp *synth.Mapping, inputs map[int][]bool) {
 			panic("machine: wrong input width")
 		}
 		for i, v := range in {
-			old := m.mem.Mat().Row(i).Clone()
-			cur := old.Clone()
+			old := m.mem.Get(i, c)
+			cur := m.mem.Mat().Row(i).Clone()
 			cur.Set(c, v)
 			m.mem.WriteRow(i, cur)
-			if m.cm != nil {
-				m.cm.UpdateCritical(0, cmem.CriticalUpdate{
-					Orientation: shifter.ColParallel, Index: i, Old: old, New: cur,
-				})
-			} else if m.sch != nil {
+			if m.Protected() {
 				// Exactly one cell changed: the Θ(1) single-cell delta.
-				m.sch.UpdateWrite(i, c, old.Get(c), v)
+				m.sch.UpdateWrite(i, c, old, v)
 			}
 		}
 	}

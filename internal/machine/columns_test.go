@@ -3,8 +3,6 @@ package machine
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/ecc"
 )
 
 func TestSIMDColsExecution(t *testing.T) {
@@ -41,7 +39,7 @@ func TestSIMDColsExecution(t *testing.T) {
 		}
 	}
 	if !m.CheckConsistent() {
-		t.Fatal("CMEM inconsistent after column execution")
+		t.Fatal("check bits inconsistent after column execution")
 	}
 	if m.Stats().CriticalOps == 0 {
 		t.Fatal("no critical ops in column orientation")
@@ -84,8 +82,8 @@ func TestSIMDColsInputFaultCorrected(t *testing.T) {
 func TestOrientationSymmetry(t *testing.T) {
 	// The same program on the same per-lane operands must produce the
 	// same results row-wise and column-wise, and both must leave the
-	// CMEM equal to a from-scratch rebuild — the architectural symmetry
-	// the diagonal placement buys.
+	// check bits equal to a from-scratch rebuild — the architectural
+	// symmetry the diagonal placement buys.
 	mp := adder8(t)
 	rng := rand.New(rand.NewSource(23))
 	lane := make(map[int][]bool, testCfg.N)
@@ -118,9 +116,8 @@ func TestOrientationSymmetry(t *testing.T) {
 		}
 	}
 	for _, m := range []*Machine{mr, mc} {
-		want := ecc.Build(ecc.Params{N: testCfg.N, M: testCfg.M}, m.MEM().Mat())
-		if !m.CMEM().Image().Equal(want) {
-			t.Fatal("CMEM diverged in one orientation")
+		if !m.CheckConsistent() {
+			t.Fatal("check bits diverged in one orientation")
 		}
 	}
 	// The memory images are transposes of each other.

@@ -1,12 +1,16 @@
 // Package machine assembles the full proposed architecture (Fig 3): a MEM
 // crossbar executing SIMPLER-mapped functions with SIMD row parallelism,
-// a CMEM keeping diagonal ECC check bits continuously up to date through
-// the critical-operation protocol, shifter-routed transfers, and the
-// controller behaviors (input checking before execution, periodic
-// scrubbing, single-error correction).
+// check bits kept continuously up to date through the critical-operation
+// protocol, and the controller behaviors (input checking before execution,
+// periodic scrubbing, single-error correction).
+//
+// The check bits of every code, the paper's diagonal one included, live
+// in one ecc.Scheme. The gate-level CMEM of Fig 4 (internal/cmem) is the
+// spec this path is tested against; the diagonal code is still charged
+// the MEM cycles the CMEM's block-line checks occupy.
 //
 // It is the end-to-end integration: the same Mapping the latency
-// scheduler costs out is *actually executed* on simulated crossbars, with
+// scheduler costs out is *actually executed* on a simulated crossbar, with
 // soft errors injected and corrected, so tests can confirm the mechanism
 // — not just its cycle model — works.
 package machine
@@ -33,9 +37,8 @@ type Config struct {
 	ECCEnabled bool // false = the paper's baseline (no protection)
 
 	// Scheme selects the protection code (ecc.SchemeByName). Empty or
-	// "diagonal" is the paper's code, executed on the cycle-accurate CMEM
-	// pipeline exactly as before the scheme layer existed; any other
-	// registered scheme runs through the generic ecc.Scheme path.
+	// "diagonal" is the paper's code; every registered scheme, the
+	// diagonal included, runs through the same ecc.Scheme path.
 	Scheme string
 
 	// Repair configures the self-healing layer (write-verify read-backs,
@@ -61,10 +64,11 @@ func (cfg Config) SchemeName() string {
 // (grounded in the cmem pipeline constants): the mapping's own latency,
 // plus with ECC enabled the pre-execution input checks (one block-line
 // check per input block-column, CheckLineMEMCycles each per block row),
-// the per-critical-op old/new transfers (the XOR3 fold runs in the PC
-// pipeline for the diagonal code; generic schemes charge their
-// LineUpdateReads hook), and the post-execution working-region reconcile
-// (every working block-column's check bits rebuilt from the image).
+// the per-critical-op update reads (the scheme's LineUpdateReads hook;
+// the diagonal code's 2 is CriticalUpdateMEMCycles, the old/new
+// transfers, because its XOR3 fold runs in the PC pipeline), and the
+// post-execution working-region reconcile (every working block-column's
+// check bits rebuilt from the image).
 func (cfg Config) ComputeCost(mp *synth.Mapping) int64 {
 	cost := int64(mp.Latency())
 	if !cfg.ECCEnabled {
@@ -77,18 +81,16 @@ func (cfg Config) ComputeCost(mp *synth.Mapping) int64 {
 	firstBC := mp.Netlist.NumInputs() / m
 	lastBC := (mp.RowSize - 1) / m
 	inputSpan := inputBlocks
-	if cfg.SchemeName() != ecc.SchemeDiagonal {
-		if spec, err := ecc.SchemeByName(cfg.SchemeName()); err == nil {
-			sch := spec.New(ecc.Params{N: cfg.N, M: m}, nil)
-			upd = int64(sch.LineUpdateReads(1))
-			// Striped codes check/reconcile whole column groups, so the
-			// charged spans widen to the scheme's home-column envelope.
-			if inputBlocks > 0 {
-				f, l := sch.HomeColumns(0, inputBlocks-1)
-				inputSpan = l - f + 1
-			}
-			firstBC, lastBC = sch.HomeColumns(firstBC, lastBC)
+	if spec, err := ecc.SchemeByName(cfg.SchemeName()); err == nil {
+		sch := spec.New(ecc.Params{N: cfg.N, M: m}, nil)
+		upd = int64(sch.LineUpdateReads(1))
+		// Striped codes check/reconcile whole column groups, so the
+		// charged spans widen to the scheme's home-column envelope.
+		if inputBlocks > 0 {
+			f, l := sch.HomeColumns(0, inputBlocks-1)
+			inputSpan = l - f + 1
 		}
+		firstBC, lastBC = sch.HomeColumns(firstBC, lastBC)
 	}
 	cost += int64(inputSpan * blocks * cmem.CheckLineMEMCycles(m))
 	cost += int64(mp.CriticalOps()) * upd
@@ -96,17 +98,21 @@ func (cfg Config) ComputeCost(mp *synth.Mapping) int64 {
 	return cost
 }
 
-// Machine is one crossbar plus its check memory.
+// Machine is one crossbar plus its check bits.
 type Machine struct {
 	cfg Config
 	mem *xbar.Crossbar
-	cm  *cmem.CMEM // diagonal scheme; nil otherwise
 
-	// Non-diagonal schemes run through the generic scheme layer: sch holds
-	// the live check-bit state, spec rebuilds it (heal / consistency).
+	// sch holds the live check-bit state (nil = unprotected baseline);
+	// spec rebuilds it (heal / consistency).
 	sch  ecc.Scheme
 	spec ecc.SchemeSpec
 	ones *bitmat.Vec // all-columns mask for whole-row delta updates
+
+	// lineCopyCycles is the MEM occupancy of one block-line check on the
+	// CMEM (Fig 4): the 2·M line copies, one per diagonal family per
+	// line, that the diagonal code is charged (0 for other codes).
+	lineCopyCycles int
 
 	// statistics
 	criticalOps   int
@@ -194,17 +200,15 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("machine: %w", err)
 	}
 	if cfg.ECCEnabled {
-		if cfg.SchemeName() == ecc.SchemeDiagonal {
-			if err := (cmem.Config{N: cfg.N, M: cfg.M, K: cfg.K}).Validate(); err != nil {
-				return fmt.Errorf("machine: %w", err)
-			}
-			return nil
-		}
 		spec, err := ecc.SchemeByName(cfg.SchemeName())
-		if err != nil {
-			return fmt.Errorf("machine: %w", err)
+		if err == nil {
+			err = spec.Validate(ecc.Params{N: cfg.N, M: cfg.M})
 		}
-		if err := spec.Validate(ecc.Params{N: cfg.N, M: cfg.M}); err != nil {
+		if err == nil && cfg.SchemeName() == ecc.SchemeDiagonal {
+			// K sizes the diagonal code's gate-level CMEM model (CMEM).
+			err = (cmem.Config{N: cfg.N, M: cfg.M, K: cfg.K}).Validate()
+		}
+		if err != nil {
 			return fmt.Errorf("machine: %w", err)
 		}
 	}
@@ -223,15 +227,13 @@ func New(cfg Config) (*Machine, error) {
 		m.rt = repair.NewTable(cfg.Repair, cfg.N)
 	}
 	if cfg.ECCEnabled {
+		m.spec, _ = ecc.SchemeByName(cfg.SchemeName()) // validated above
+		m.sch = m.spec.New(ecc.Params{N: cfg.N, M: cfg.M}, nil)
+		m.ones = bitmat.NewVec(cfg.N)
+		m.ones.Fill(true)
+		m.updateReads = int64(m.sch.LineUpdateReads(1))
 		if cfg.SchemeName() == ecc.SchemeDiagonal {
-			m.cm = cmem.New(cmem.Config{N: cfg.N, M: cfg.M, K: cfg.K})
-			m.updateReads = 2 // the diagonal code's Θ(1) old/new copy per line
-		} else {
-			m.spec, _ = ecc.SchemeByName(cfg.SchemeName()) // validated above
-			m.sch = m.spec.New(ecc.Params{N: cfg.N, M: cfg.M}, nil)
-			m.ones = bitmat.NewVec(cfg.N)
-			m.ones.Fill(true)
-			m.updateReads = int64(m.sch.LineUpdateReads(1))
+			m.lineCopyCycles = 2 * cfg.M
 		}
 	}
 	return m, nil
@@ -252,39 +254,40 @@ func (m *Machine) Config() Config { return m.cfg }
 // MEM exposes the data crossbar (for inspection and fault injection).
 func (m *Machine) MEM() *xbar.Crossbar { return m.mem }
 
-// CMEM exposes the check memory, or nil for a baseline machine or a
-// non-diagonal scheme.
-func (m *Machine) CMEM() *cmem.CMEM { return m.cm }
-
-// Scheme exposes the live generic scheme state, or nil for a baseline or
-// diagonal (CMEM-backed) machine.
-func (m *Machine) Scheme() ecc.Scheme { return m.sch }
+// CMEM returns a gate-level check memory (the paper's Fig 4, see
+// internal/cmem) loaded with the machine's current check bits, or nil
+// unless the code is the diagonal one. The model is detached: it is
+// built on every call, and nothing done to it reaches the machine's
+// check bits.
+func (m *Machine) CMEM() *cmem.CMEM {
+	cb := ecc.DiagonalCheckBits(m.sch)
+	if cb == nil {
+		return nil
+	}
+	c := cmem.New(cmem.Config{N: m.cfg.N, M: m.cfg.M, K: m.cfg.K})
+	c.LoadImage(cb)
+	return c
+}
 
 // Protected reports whether any protection code is active.
-func (m *Machine) Protected() bool { return m.cm != nil || m.sch != nil }
+func (m *Machine) Protected() bool { return m.sch != nil }
 
 // ECCImage returns a snapshot of the logical check-bit state as an
 // ecc.Scheme — the input scheme-generic consumers (above all the fault
 // campaign's bit-serial reference decoder) diagnose against. Nil for a
 // baseline machine.
 func (m *Machine) ECCImage() ecc.Scheme {
-	switch {
-	case m.cm != nil:
-		return ecc.DiagonalFromCheckBits(m.cm.Image())
-	case m.sch != nil:
-		return m.sch.Clone()
+	if m.sch == nil {
+		return nil
 	}
-	return nil
+	return m.sch.Clone()
 }
 
 // RebuildChecks re-establishes the whole check-bit state from the current
 // memory image — the controller path for freshly (re)programmed data. A
 // no-op on a baseline machine.
 func (m *Machine) RebuildChecks() {
-	switch {
-	case m.cm != nil:
-		m.cm.LoadFrom(m.mem.Mat())
-	case m.sch != nil:
+	if m.sch != nil {
 		m.sch = m.spec.New(ecc.Params{N: m.cfg.N, M: m.cfg.M}, m.mem.Mat())
 	}
 }
@@ -362,14 +365,8 @@ func (m *Machine) LoadRow(r int, v *bitmat.Vec) error {
 	}
 	old := m.mem.Mat().Row(r).Clone()
 	m.mem.WriteRow(r, v)
-	if m.cm != nil {
-		m.cm.UpdateCritical(0, cmem.CriticalUpdate{
-			Orientation: shifter.ColParallel, Index: r, Old: old, New: v.Clone(),
-		})
-	} else if m.sch != nil {
-		m.sch.UpdateRowWrite(r, old, m.mem.Mat().Row(r), m.ones)
-	}
 	if m.Protected() {
+		m.sch.UpdateRowWrite(r, old, m.mem.Mat().Row(r), m.ones)
 		m.tel.UpdateReads.Add(m.updateReads)
 	}
 	if m.defects != nil {
@@ -402,26 +399,24 @@ func (m *Machine) InjectDataFault(r, c int) { m.mem.Flip(r, c) }
 
 // InjectCheckFault flips a stored check bit (ECC state is memristive
 // too). Family/diagonal addressing is specific to the diagonal code, so
-// this is a CMEM-only path.
+// other codes panic.
 func (m *Machine) InjectCheckFault(f shifter.Family, d, br, bc int) {
-	if m.cm == nil {
-		panic("machine: check-bit injection needs the diagonal CMEM")
+	cb := ecc.DiagonalCheckBits(m.sch)
+	if cb == nil {
+		panic("machine: check-bit injection needs the diagonal code")
 	}
-	m.cm.FlipCheckBit(f, d, br, bc)
+	if f == shifter.Leading {
+		cb.FlipLead(d, br, bc)
+	} else {
+		cb.FlipCounter(d, br, bc)
+	}
 }
 
 // CheckConsistent reports whether the stored check-bit state matches a
 // from-scratch rebuild over the current memory image (true for a healthy
 // machine) — the machine-level Verify, scheme-generic.
 func (m *Machine) CheckConsistent() bool {
-	switch {
-	case m.cm != nil:
-		want := ecc.Build(ecc.Params{N: m.cfg.N, M: m.cfg.M}, m.mem.Mat())
-		return m.cm.Image().Equal(want)
-	case m.sch != nil:
-		return m.sch.Equal(m.spec.New(ecc.Params{N: m.cfg.N, M: m.cfg.M}, m.mem.Mat()))
-	}
-	return true
+	return m.sch == nil || m.sch.Equal(m.spec.New(ecc.Params{N: m.cfg.N, M: m.cfg.M}, m.mem.Mat()))
 }
 
 // Finding is one non-clean block from a detailed scrub: its block
@@ -448,29 +443,8 @@ func (m *Machine) ScrubFindings() []Finding {
 		return nil
 	}
 	var out []Finding
-	blocks := m.cfg.N / m.cfg.M
-	for br := 0; br < blocks; br++ {
-		if m.sch != nil {
-			// Generic scheme path: per-block check-and-correct. A scheme
-			// with sub-block structure (Hamming words) may report several
-			// findings for one block, in the scheme's deterministic order.
-			for bc := 0; bc < blocks; bc++ {
-				for _, d := range m.sch.CorrectBlock(m.mem.Mat(), br, bc) {
-					m.tallyDiag(d)
-					out = append(out, Finding{BR: br, BC: bc, Diag: d})
-				}
-			}
-			continue
-		}
-		diags := m.cm.CheckLine(m.mem, shifter.ColParallel, br, br%m.cfg.K)
-		for bc := 0; bc < blocks; bc++ { // map iteration would be nondeterministic
-			d, ok := diags[bc]
-			if !ok {
-				continue
-			}
-			m.tallyDiag(d)
-			out = append(out, Finding{BR: br, BC: bc, Diag: d})
-		}
+	for br := 0; br < m.cfg.N/m.cfg.M; br++ {
+		out = m.checkLine(out, shifter.ColParallel, br)
 	}
 	if m.rt != nil {
 		// Scrub-triggered retirement: every repaired data cell takes a
@@ -484,6 +458,41 @@ func (m *Machine) ScrubFindings() []Finding {
 				m.noteScrubRepair(r, c)
 			}
 		}
+	}
+	return out
+}
+
+// checkLine checks and corrects every block of one block line (block-row
+// idx for ColParallel, block-column idx for RowParallel, as in the CMEM's
+// CheckLine) and appends the non-clean findings to out in block order,
+// several per block for codes with sub-block units (Hamming words). The
+// diagonal code is charged the CMEM check's MEM occupancy: the line
+// copies, then one write per repaired data cell. Findings are tallied
+// after the line, so their events carry its closing cycle.
+func (m *Machine) checkLine(out []Finding, o shifter.Orientation, idx int) []Finding {
+	start := len(out)
+	for b := 0; b < m.cfg.N/m.cfg.M; b++ {
+		br, bc := idx, b
+		if o == shifter.RowParallel {
+			br, bc = b, idx
+		}
+		for _, d := range m.sch.CorrectBlock(m.mem.Mat(), br, bc) {
+			out = append(out, Finding{BR: br, BC: bc, Diag: d})
+		}
+	}
+	if m.lineCopyCycles > 0 {
+		cycles := m.lineCopyCycles
+		for _, f := range out[start:] {
+			if f.Diag.Kind == ecc.DataError {
+				cycles++
+			}
+		}
+		for ; cycles > 0; cycles-- {
+			m.mem.Tick()
+		}
+	}
+	for _, f := range out[start:] {
+		m.tallyDiag(f.Diag)
 	}
 	return out
 }
@@ -532,49 +541,40 @@ func (m *Machine) ExecuteSIMD(mp *synth.Mapping, rows *bitmat.Vec) error {
 		return fmt.Errorf("machine: mapping needs %d cells, crossbar row has %d", mp.RowSize, m.cfg.N)
 	}
 	if m.Protected() {
+		// Check (and correct) every code unit covering the input columns.
+		// Units are addressed by home block; striped codes home the
+		// covering units across the whole enclosing column group, so the
+		// sweep must go through HomeColumns — checking only the input
+		// block-columns would miss units whose home lies beyond them.
 		inputBlocks := (mp.Netlist.NumInputs() + m.cfg.M - 1) / m.cfg.M
-		if m.sch != nil && inputBlocks > 0 {
-			// Generic scheme path: check (and correct) every code unit
-			// covering the input columns. Units are addressed by home
-			// block; striped codes home the covering units across the
-			// whole enclosing column group, so the sweep must go through
-			// HomeColumns — checking only the input block-columns would
-			// miss units whose home lies beyond them.
+		if inputBlocks > 0 {
 			first, last := m.sch.HomeColumns(0, inputBlocks-1)
 			for bc := first; bc <= last; bc++ {
-				m.inputChecks++
-				m.tel.InputChecks.Inc()
-				for br := 0; br < m.cfg.N/m.cfg.M; br++ {
-					for _, d := range m.sch.CorrectBlock(m.mem.Mat(), br, bc) {
-						m.tallyDiag(d)
-					}
-				}
-			}
-		} else if m.cm != nil {
-			for bc := 0; bc < inputBlocks; bc++ {
-				m.inputChecks++
-				m.tel.InputChecks.Inc()
-				diags := m.cm.CheckLine(m.mem, shifter.RowParallel, bc, bc%m.cfg.K)
-				for _, d := range diags {
-					m.tallyDiag(d)
-				}
+				m.inputCheck(shifter.RowParallel, bc)
 			}
 		}
 	}
 
-	pc := 0
 	for _, s := range mp.Steps {
 		switch s.Kind {
 		case synth.StepInit:
 			m.mem.InitColumnsInRows(s.Init, rows)
 		case synth.StepConst:
-			m.writeColumn(s.Cell, s.Value, rows, s.Critical, &pc)
+			m.writeColumn(s.Cell, s.Value, rows, s.Critical)
 		case synth.StepGate:
-			m.gate(s, rows, &pc)
+			m.gate(s, rows)
 		}
 	}
 	m.reconcileWorkingRegion(mp)
 	return nil
+}
+
+// inputCheck is the pre-execution check of one block line holding
+// function inputs (see checkLine for the orientations).
+func (m *Machine) inputCheck(o shifter.Orientation, idx int) {
+	m.inputChecks++
+	m.tel.InputChecks.Inc()
+	m.checkLine(nil, o, idx)
 }
 
 // reconcileWorkingRegion re-establishes check bits over the block-columns
@@ -589,37 +589,24 @@ func (m *Machine) reconcileWorkingRegion(mp *synth.Mapping) {
 	if !m.Protected() {
 		return
 	}
+	// Every unit whose coverage intersects the working columns is stale
+	// and must be rebuilt; HomeColumns names exactly those units' home
+	// blocks. For striped codes this widens the sweep to the enclosing
+	// column group — a unit straddling the region boundary has no
+	// narrower sound rebuild (the scheme docs note that scratch regions
+	// are best allocated group-aligned).
 	firstBC := mp.Netlist.NumInputs() / m.cfg.M
 	lastBC := (mp.RowSize - 1) / m.cfg.M
-	if m.sch != nil {
-		// Every unit whose coverage intersects the working columns is
-		// stale and must be rebuilt; HomeColumns names exactly those
-		// units' home blocks. For striped codes this widens the sweep to
-		// the enclosing column group — a unit straddling the region
-		// boundary has no narrower sound rebuild (the scheme docs note
-		// that scratch regions are best allocated group-aligned).
-		firstBC, lastBC = m.sch.HomeColumns(firstBC, lastBC)
-		for bc := firstBC; bc <= lastBC; bc++ {
-			for br := 0; br < m.cfg.N/m.cfg.M; br++ {
-				m.sch.RebuildBlock(m.mem.Mat(), br, bc)
-			}
-		}
-		return
-	}
-	p := ecc.Params{N: m.cfg.N, M: m.cfg.M}
-	want := ecc.Build(p, m.mem.Mat())
+	firstBC, lastBC = m.sch.HomeColumns(firstBC, lastBC)
 	for bc := firstBC; bc <= lastBC; bc++ {
-		for br := 0; br < p.BlocksPerSide(); br++ {
-			for d := 0; d < m.cfg.M; d++ {
-				m.cm.SetCheckBit(shifter.Leading, d, br, bc, want.Lead(d, br, bc))
-				m.cm.SetCheckBit(shifter.Counter, d, br, bc, want.Counter(d, br, bc))
-			}
+		for br := 0; br < m.cfg.N/m.cfg.M; br++ {
+			m.sch.RebuildBlock(m.mem.Mat(), br, bc)
 		}
 	}
 }
 
 // gate executes one (possibly critical) MAGIC step.
-func (m *Machine) gate(s synth.Step, rows *bitmat.Vec, pc *int) {
+func (m *Machine) gate(s synth.Step, rows *bitmat.Vec) {
 	critical := s.Critical && m.Protected()
 	var old *bitmat.Vec
 	if critical {
@@ -634,20 +621,16 @@ func (m *Machine) gate(s synth.Step, rows *bitmat.Vec, pc *int) {
 	if critical {
 		newCol := m.mem.Mat().Col(s.Cell)
 		m.mem.Tick() // copy-new transfer occupies MEM
-		m.criticalUpdate(shifter.RowParallel, s.Cell, old, newCol, rows, pc)
+		m.criticalUpdate(shifter.RowParallel, s.Cell, old, newCol, rows)
 	}
 }
 
-// criticalUpdate commits one critical operation's check-bit delta through
-// the active backend: the CMEM's pipelined XOR3 protocol for the diagonal
-// code, the scheme's masked line-delta update otherwise. sel is the
-// row/column selection mask of the parallel operation.
-func (m *Machine) criticalUpdate(o shifter.Orientation, index int, old, cur, sel *bitmat.Vec, pc *int) {
-	if m.cm != nil {
-		m.cm.UpdateCritical(*pc, cmem.CriticalUpdate{
-			Orientation: o, Index: index, Old: old, New: cur,
-		})
-	} else if o == shifter.RowParallel {
+// criticalUpdate commits one critical operation's check-bit delta — the
+// scheme's masked line-delta update, the word-parallel form of the CMEM's
+// XOR3 protocol. o is the operation's orientation (a RowParallel op
+// writes column index) and sel its row/column selection mask.
+func (m *Machine) criticalUpdate(o shifter.Orientation, index int, old, cur, sel *bitmat.Vec) {
+	if o == shifter.RowParallel {
 		m.sch.UpdateColumnWrite(index, old, cur, sel)
 	} else {
 		m.sch.UpdateRowWrite(index, old, cur, sel)
@@ -655,15 +638,10 @@ func (m *Machine) criticalUpdate(o shifter.Orientation, index int, old, cur, sel
 	m.criticalOps++
 	m.tel.CriticalOps.Inc()
 	m.tel.UpdateReads.Add(m.updateReads)
-	if m.cfg.K > 1 {
-		*pc = (*pc + 1) % m.cfg.K
-	} else {
-		*pc = 0 // generic schemes don't require processing crossbars
-	}
 }
 
 // writeColumn drives a constant into column c of every selected row.
-func (m *Machine) writeColumn(c int, v bool, rows *bitmat.Vec, criticalStep bool, pc *int) {
+func (m *Machine) writeColumn(c int, v bool, rows *bitmat.Vec, criticalStep bool) {
 	critical := criticalStep && m.Protected()
 	var old *bitmat.Vec
 	if critical {
@@ -677,7 +655,7 @@ func (m *Machine) writeColumn(c int, v bool, rows *bitmat.Vec, criticalStep bool
 	if critical {
 		newCol := m.mem.Mat().Col(c)
 		m.mem.Tick()
-		m.criticalUpdate(shifter.RowParallel, c, old, newCol, rows, pc)
+		m.criticalUpdate(shifter.RowParallel, c, old, newCol, rows)
 	}
 }
 

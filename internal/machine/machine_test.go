@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/shifter"
 	"repro/internal/synth"
+	"repro/internal/telemetry"
+	"repro/internal/xbar"
 )
 
 var testCfg = Config{N: 45, M: 15, K: 2, ECCEnabled: true}
@@ -71,25 +74,45 @@ func TestSIMDExecutionAllRows(t *testing.T) {
 	}
 	checkAllRows(t, m, mp, inputs)
 	if !m.CheckConsistent() {
-		t.Fatal("CMEM inconsistent after execution")
+		t.Fatal("check bits inconsistent after execution")
 	}
 	if m.Stats().CriticalOps == 0 {
 		t.Fatal("no critical operations recorded")
 	}
 }
 
+// TestBaselineMachineAlsoComputes: an unprotected machine computes in both
+// orientations — also at the M=K=0 geometry core.NewBaselineMachine
+// builds, where no input-check arithmetic may run.
 func TestBaselineMachineAlsoComputes(t *testing.T) {
-	cfg := testCfg
-	cfg.ECCEnabled = false
-	m := MustNew(cfg)
+	off := testCfg
+	off.ECCEnabled = false
 	mp := adder8(t)
-	inputs := loadRandomInputs(t, m, mp, 2)
-	if err := m.ExecuteSIMD(mp, m.MEM().AllRows()); err != nil {
-		t.Fatal(err)
-	}
-	checkAllRows(t, m, mp, inputs)
-	if m.CMEM() != nil {
-		t.Fatal("baseline machine should have no CMEM")
+	for _, cfg := range []Config{off, {N: 45}} {
+		m := MustNew(cfg)
+		inputs := loadRandomInputs(t, m, mp, 2)
+		if err := m.ExecuteSIMD(mp, m.MEM().AllRows()); err != nil {
+			t.Fatal(err)
+		}
+		checkAllRows(t, m, mp, inputs)
+		if m.CMEM() != nil {
+			t.Fatal("baseline machine should have no CMEM")
+		}
+
+		mc := MustNew(cfg)
+		mc.LoadInputsCols(mp, inputs)
+		if err := mc.ExecuteSIMDCols(mp, mc.MEM().AllCols()); err != nil {
+			t.Fatal(err)
+		}
+		for c, in := range inputs {
+			want := mp.Netlist.Eval(in)
+			got := mc.ReadOutputsCol(mp, c)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("config %+v: column %d output %d: got %v want %v", cfg, c, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -138,6 +161,123 @@ func TestInputFaultCorruptsBaseline(t *testing.T) {
 	}
 	if same {
 		t.Fatal("baseline produced correct output despite corrupted input — test is vacuous")
+	}
+}
+
+// TestInputCheckCorrectionsInBlockOrder: one input check's corrections
+// are tallied, and their ring events emitted, in block order along the
+// checked line — in both orientations and on every run.
+func TestInputCheckCorrectionsInBlockOrder(t *testing.T) {
+	mp := adder8(t)
+	want := [][2]int64{{1, 2}, {3, 4}, {5, 6}}  // local (LR,LC) per block, rows orientation
+	cells := [][2]int{{1, 2}, {18, 4}, {35, 6}} // three blocks of input block-column 0
+	for _, cols := range []bool{false, true} {
+		for trial := 0; trial < 20; trial++ {
+			m := MustNew(testCfg)
+			ring := telemetry.NewRing(16)
+			m.Instrument(Telemetry{Events: ring})
+			rng := rand.New(rand.NewSource(int64(trial)))
+			lanes := make(map[int][]bool, testCfg.N)
+			for l := 0; l < testCfg.N; l++ {
+				in := make([]bool, mp.Netlist.NumInputs())
+				for i := range in {
+					in[i] = rng.Intn(2) == 0
+				}
+				lanes[l] = in
+			}
+			var err error
+			if cols {
+				m.LoadInputsCols(mp, lanes)
+				for _, c := range cells {
+					m.InjectDataFault(c[1], c[0])
+				}
+				err = m.ExecuteSIMDCols(mp, m.MEM().AllCols())
+			} else {
+				m.LoadInputs(mp, lanes)
+				for _, c := range cells {
+					m.InjectDataFault(c[0], c[1])
+				}
+				err = m.ExecuteSIMD(mp, m.MEM().AllRows())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [][2]int64
+			for _, e := range ring.Recent(0) {
+				if e.Kind != telemetry.EvCorrection {
+					t.Fatalf("cols=%v trial %d: unexpected %v event", cols, trial, e.Kind)
+				}
+				if cols {
+					got = append(got, [2]int64{e.B, e.A})
+				} else {
+					got = append(got, [2]int64{e.A, e.B})
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("cols=%v trial %d: corrections %v, want %v", cols, trial, got, want)
+			}
+		}
+	}
+}
+
+// TestCheckLineChargesCMEMTicks: a block-line check of the diagonal code
+// advances the MEM clock exactly as the gate-level CMEM's CheckLine does
+// (2·M line copies, then one write per repaired data cell), with the same
+// findings and repairs, in both orientations; other codes charge no
+// check ticks.
+func TestCheckLineChargesCMEMTicks(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, tc := range []struct {
+		o   shifter.Orientation
+		idx int
+	}{{shifter.ColParallel, 0}, {shifter.RowParallel, 1}} {
+		m := MustNew(testCfg)
+		for r := 0; r < testCfg.N; r++ {
+			row := bitmat.NewVec(testCfg.N)
+			for c := 0; c < testCfg.N; c++ {
+				row.Set(c, rng.Intn(2) == 0)
+			}
+			m.LoadRow(r, row)
+		}
+		m.InjectDataFault(3, 20)                     // block (0,1)
+		m.InjectDataFault(40, 17)                    // block (2,1)
+		m.InjectCheckFault(shifter.Leading, 2, 0, 2) // block (0,2)
+		m.InjectCheckFault(shifter.Counter, 5, 1, 1) // block (1,1)
+
+		cm := m.CMEM()
+		ref := xbar.New(testCfg.N, testCfg.N)
+		ref.Mat().SetBlock(0, 0, m.MEM().Mat())
+		want := cm.CheckLine(ref, tc.o, tc.idx, 0)
+		before := m.Stats().MEMCycles
+		got := m.checkLine(nil, tc.o, tc.idx)
+		if ticks := m.Stats().MEMCycles - before; ticks != ref.Stats().Cycles {
+			t.Errorf("%v line %d: machine ticked MEM %d times, CMEM %d", tc.o, tc.idx, ticks, ref.Stats().Cycles)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%v line %d: findings %+v, CMEM diagnoses %+v", tc.o, tc.idx, got, want)
+		}
+		for _, f := range got {
+			b := f.BC
+			if tc.o == shifter.RowParallel {
+				b = f.BR
+			}
+			if want[b] != f.Diag {
+				t.Errorf("%v line %d: finding %+v, CMEM diagnosed %+v", tc.o, tc.idx, f, want[b])
+			}
+		}
+		if !m.MEM().Mat().Equal(ref.Mat()) || !cm.Image().Equal(ecc.DiagonalCheckBits(m.sch)) {
+			t.Errorf("%v line %d: repairs differ from the CMEM's", tc.o, tc.idx)
+		}
+	}
+
+	h := MustNew(Config{N: 45, M: 15, ECCEnabled: true, Scheme: ecc.SchemeHamming})
+	h.InjectDataFault(3, 20)
+	before := h.Stats().MEMCycles
+	if c, _ := h.Scrub(); c != 1 {
+		t.Fatalf("hamming scrub corrected %d, want 1", c)
+	}
+	if ticks := h.Stats().MEMCycles - before; ticks != 0 {
+		t.Fatalf("hamming scrub ticked MEM %d times, want 0", ticks)
 	}
 }
 
@@ -237,7 +377,7 @@ func TestPartialRowMask(t *testing.T) {
 		}
 	}
 	if !m.CheckConsistent() {
-		t.Fatal("CMEM inconsistent after masked execution")
+		t.Fatal("check bits inconsistent after masked execution")
 	}
 }
 
@@ -252,7 +392,7 @@ func TestCMEMStaysInSyncThroughLoadRows(t *testing.T) {
 		m.LoadRow(rng.Intn(testCfg.N), v)
 	}
 	if !m.CheckConsistent() {
-		t.Fatal("LoadRow lost CMEM sync")
+		t.Fatal("LoadRow lost check-bit sync")
 	}
 }
 
@@ -317,8 +457,9 @@ func TestConsistencyIsNontrivial(t *testing.T) {
 }
 
 func TestEndToEndWithECCvsParamsBuild(t *testing.T) {
-	// After a full execute, CMEM must equal ecc.Build of the final image
-	// (reconciliation + critical updates together cover everything).
+	// After a full execute, the gate-level CMEM model loaded from the
+	// machine must equal ecc.Build of the final image (reconciliation +
+	// critical updates together cover everything).
 	m := MustNew(testCfg)
 	mp := adder8(t)
 	loadRandomInputs(t, m, mp, 13)
@@ -326,8 +467,15 @@ func TestEndToEndWithECCvsParamsBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ecc.Build(ecc.Params{N: testCfg.N, M: testCfg.M}, m.MEM().Mat())
-	if !m.CMEM().Image().Equal(want) {
+	cm := m.CMEM()
+	if !cm.Image().Equal(want) {
 		t.Fatal("CMEM image diverged from rebuilt check bits")
+	}
+	// The gate-level model is detached: faults in it stay out of the
+	// machine's check bits.
+	cm.FlipCheckBit(shifter.Leading, 0, 0, 0)
+	if !m.CheckConsistent() {
+		t.Fatal("a fault in the detached CMEM reached the machine")
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/ecc"
 	"repro/internal/faults"
 	"repro/internal/repair"
-	"repro/internal/shifter"
 	"repro/internal/telemetry"
 )
 
@@ -209,7 +208,9 @@ func (m *Machine) verifyChecks(r int, want *bitmat.Vec) {
 	}
 	mm := m.cfg.M
 	for bc := 0; bc < m.cfg.N/mm; bc++ {
-		for _, d := range m.diagnoseBlock(r/mm, bc) {
+		// CheckBlock only diagnoses: scrub corrections must stay scrub's,
+		// visible in its findings.
+		for _, d := range m.sch.CheckBlock(m.mem.Mat(), r/mm, bc) {
 			if d.LR != r%mm {
 				continue
 			}
@@ -218,8 +219,7 @@ func (m *Machine) verifyChecks(r int, want *bitmat.Vec) {
 			// stored bits are what's wrong — re-encode the one word. An
 			// unverified segment (a reported, unretired defect) is left
 			// alone: its mismatch must stay visible.
-			if m.sch != nil && m.rowSegmentVerified(r, bc, want) &&
-				m.sch.RebuildRowWords(m.mem.Mat(), r, bc) {
+			if m.rowSegmentVerified(r, bc, want) && m.sch.RebuildRowWords(m.mem.Mat(), r, bc) {
 				break
 			}
 			if d.Kind != ecc.DataError {
@@ -243,49 +243,13 @@ func (m *Machine) rowSegmentVerified(r, bc int, want *bitmat.Vec) bool {
 	return true
 }
 
-// diagnoseBlock decodes block (br,bc) against the current memory image
-// without correcting anything — the read-only diagnosis the verify sweep
-// needs (scrub corrections must stay scrub's, visible in its findings).
-func (m *Machine) diagnoseBlock(br, bc int) []ecc.Diagnosis {
-	if m.sch != nil {
-		return m.sch.CheckBlock(m.mem.Mat(), br, bc)
-	}
-	p := ecc.Params{N: m.cfg.N, M: m.cfg.M}
-	lead, counter := bitmat.NewVec(p.M), bitmat.NewVec(p.M)
-	for d := 0; d < p.M; d++ {
-		lead.Set(d, m.cm.CheckBit(shifter.Leading, d, br, bc))
-		counter.Set(d, m.cm.CheckBit(shifter.Counter, d, br, bc))
-	}
-	r0, c0 := br*p.M, bc*p.M
-	for lr := 0; lr < p.M; lr++ {
-		for lc := 0; lc < p.M; lc++ {
-			if m.mem.Mat().Get(r0+lr, c0+lc) {
-				lead.Flip(p.LeadIdx(lr, lc))
-				counter.Flip(p.CounterIdx(lr, lc))
-			}
-		}
-	}
-	if d := ecc.Decode(p, lead, counter); d.Kind != ecc.NoError {
-		return []ecc.Diagnosis{d}
-	}
-	return nil
-}
-
 // clearStaleSyndrome folds a one-hot delta at cell (r,c) into the stored
 // check bits — re-synchronizing metadata with data the read-back proved
 // correct, without touching the data itself.
 func (m *Machine) clearStaleSyndrome(r, c int) {
-	switch {
-	case m.cm != nil:
-		p := ecc.Params{N: m.cfg.N, M: m.cfg.M}
-		br, bc, lr, lc := p.BlockOf(r, c)
-		m.cm.FlipCheckBit(shifter.Leading, p.LeadIdx(lr, lc), br, bc)
-		m.cm.FlipCheckBit(shifter.Counter, p.CounterIdx(lr, lc), br, bc)
-	case m.sch != nil:
-		old := m.mem.Mat().Row(r).Clone()
-		old.Flip(c)
-		m.sch.UpdateRowWrite(r, old, m.mem.Mat().Row(r), m.ones)
-	}
+	old := m.mem.Mat().Row(r).Clone()
+	old.Flip(c)
+	m.sch.UpdateRowWrite(r, old, m.mem.Mat().Row(r), m.ones)
 }
 
 // mismatchCols returns the columns of row r whose stored bits differ from
@@ -343,14 +307,14 @@ func (m *Machine) syncRowChecks(r int) {
 	}
 	mm := m.cfg.M
 	for bc := 0; bc < m.cfg.N/mm; bc++ {
-		for _, d := range m.diagnoseBlock(r/mm, bc) {
+		for _, d := range m.sch.CheckBlock(m.mem.Mat(), r/mm, bc) {
 			if d.LR != r%mm {
 				continue
 			}
 			// Word-based codes: the mismatching unit lies entirely inside
 			// the row being overwritten — re-encode it from the physical
 			// image (detect-only parity included; no localization needed).
-			if m.sch != nil && m.sch.RebuildRowWords(m.mem.Mat(), r, bc) {
+			if m.sch.RebuildRowWords(m.mem.Mat(), r, bc) {
 				break
 			}
 			// Diagonal code: only a localized single data error pointing

@@ -2,7 +2,7 @@ package machine
 
 // Hamming (and parity) as full machine backends: the satellite tests of
 // the scheme layer. Everything a protected machine does with the diagonal
-// CMEM — consistent write paths, scrub findings, input checks before SIMD
+// code — consistent write paths, scrub findings, input checks before SIMD
 // execution — must hold under `Scheme: "hamming"` too, with Hamming's own
 // guarantee shape: single flips corrected, same-word doubles detected,
 // never miscorrected.

@@ -13,8 +13,8 @@ import (
 // machine — interleaved loads, SIMD executions, single-fault injections
 // and scrubs — and asserts the system-level invariant the paper's
 // reliability model rests on: as long as at most one soft error lands in
-// any block between checks, no data is ever silently lost and the CMEM
-// returns to full consistency after every scrub.
+// any block between checks, no data is ever silently lost and the check
+// bits return to full consistency after every scrub.
 func TestStressCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long stress campaign")
@@ -64,7 +64,7 @@ func TestStressCampaign(t *testing.T) {
 			}
 		}
 		if !m.CheckConsistent() {
-			t.Fatalf("round %d: CMEM inconsistent", round)
+			t.Fatalf("round %d: check bits inconsistent", round)
 		}
 		// The stored operands must always be intact after each round.
 		for r, in := range inputs {
@@ -129,7 +129,7 @@ func TestBackToBackExecutions(t *testing.T) {
 		}
 		checkAllRows(t, m, mp, inputs)
 		if !m.CheckConsistent() {
-			t.Fatalf("iteration %d: CMEM inconsistent", iter)
+			t.Fatalf("iteration %d: check bits inconsistent", iter)
 		}
 	}
 }
@@ -182,7 +182,7 @@ func TestWiderGeometry(t *testing.T) {
 		}
 	}
 	if !m.CheckConsistent() {
-		t.Fatal("CMEM inconsistent on 75×75 geometry")
+		t.Fatal("check bits inconsistent on 75×75 geometry")
 	}
 }
 

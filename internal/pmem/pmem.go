@@ -1,6 +1,6 @@
 // Package pmem assembles protected crossbars (internal/machine) into a
 // byte-addressable memory following the mMPU organization
-// (internal/mmpu): banks of n×n crossbars, each with its own CMEM. It is
+// (internal/mmpu): banks of n×n crossbars, each with its own check bits. It is
 // the level at which the paper's Fig 6 experiment is *performed* rather
 // than modeled: data lives across many crossbars, soft errors arrive per
 // the SER, periodic scrubs run, and the memory either survives (all
