@@ -158,6 +158,40 @@ func TestUint64AtMatchesReference(t *testing.T) {
 	}
 }
 
+func TestSetUint64AtMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range oddLengths {
+		for trial := 0; trial < 30; trial++ {
+			var k int
+			switch trial {
+			case 0:
+				k = 0
+			case 1:
+				k = min(n, 64)
+			default:
+				k = rng.Intn(min(n, 64) + 1)
+			}
+			lo := rng.Intn(n + 1 - k)
+			if trial == 2 && n > 64 {
+				// A window straddling the first word boundary.
+				k = min(n-33, 64)
+				lo = 33
+			}
+			x := rng.Uint64()
+			got := randomVec(t, n, rng)
+			want := got.Clone()
+			got.SetUint64At(lo, k, x)
+			setUint64AtRef(want, lo, k, x)
+			if !got.Equal(want) {
+				t.Fatalf("SetUint64At(n=%d, lo=%d, k=%d, %#x):\n got %s\nwant %s", n, lo, k, x, got, want)
+			}
+			if k > 0 && got.Uint64At(lo, k) != x&maskLow(k) {
+				t.Fatalf("SetUint64At(n=%d, lo=%d, k=%d) does not read back", n, lo, k)
+			}
+		}
+	}
+}
+
 func TestTransposeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	dims := []int{1, 3, 63, 64, 65, 127, 129, 200}

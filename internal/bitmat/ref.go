@@ -73,6 +73,13 @@ func uint64AtRef(v *Vec, lo, k int) uint64 {
 	return out
 }
 
+// setUint64AtRef is the bit-serial SetUint64At.
+func setUint64AtRef(v *Vec, lo, k int, x uint64) {
+	for i := 0; i < k; i++ {
+		v.Set(lo+i, x>>uint(i)&1 != 0)
+	}
+}
+
 // transposeRef is the bit-serial Transpose.
 func transposeRef(m *Mat) *Mat {
 	out := NewMat(m.cols, m.rows)

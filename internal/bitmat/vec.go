@@ -289,6 +289,24 @@ func (v *Vec) Uint64At(lo, k int) uint64 {
 	return extractBits(v.w, lo, k)
 }
 
+// SetUint64At writes the low k (0 ≤ k ≤ 64) bits of x into v starting at
+// offset lo — the window-write dual of Uint64At, at most two word updates.
+func (v *Vec) SetUint64At(lo, k int, x uint64) {
+	if k < 0 || k > 64 || lo < 0 || lo+k > v.n {
+		panic(fmt.Sprintf("bitmat: bad SetUint64At(%d,%d) of %d", lo, k, v.n))
+	}
+	if k == 0 {
+		return
+	}
+	wi, b := lo>>6, uint(lo&63)
+	m := maskLow(k)
+	x &= m
+	v.w[wi] = v.w[wi]&^(m<<b) | x<<b
+	if int(b)+k > 64 {
+		v.w[wi+1] = v.w[wi+1]&^(m>>(64-b)) | x>>(64-b)
+	}
+}
+
 // MaskedMerge sets v = (a & mask) | (v &^ mask): bits selected by mask are
 // taken from a, the rest keep their current value. This is the single
 // primitive behind masked gate execution — a whole-line operation merged

@@ -37,7 +37,7 @@ import (
 // Config sizes a CMEM.
 type Config struct {
 	N int // MEM side length
-	M int // block side length (odd, divides N)
+	M int // block side length (odd, divides N, at most 63)
 	K int // number of processing crossbars
 }
 
@@ -46,7 +46,10 @@ func PaperConfig() Config { return Config{N: 1020, M: 15, K: 3} }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if err := (ecc.Params{N: c.N, M: c.M}).Validate(); err != nil {
+	// The diagonal code's own geometry gate, whose m bound lets Image and
+	// LoadImage exchange word-packed ecc.CheckBits.
+	diag, _ := ecc.SchemeByName(ecc.SchemeDiagonal) // always registered
+	if err := diag.Validate(ecc.Params{N: c.N, M: c.M}); err != nil {
 		return err
 	}
 	if c.K < 1 {

@@ -169,7 +169,7 @@ func (c *CMEM) CheckLine(mem *xbar.Crossbar, o shifter.Orientation, blockIdx int
 		if !lead.Any() && !counter.Any() {
 			continue
 		}
-		diag := ecc.Decode(c.geom, lead, counter)
+		diag := ecc.Decode(c.geom, lead.Uint64(), counter.Uint64())
 		c.correct(mem, o, blockIdx, b, diag)
 		out[b] = diag
 	}

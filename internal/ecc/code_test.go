@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	mathbits "math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,7 +26,7 @@ func TestBuildZeroSyndrome(t *testing.T) {
 	for br := 0; br < testParams.BlocksPerSide(); br++ {
 		for bc := 0; bc < testParams.BlocksPerSide(); bc++ {
 			lead, counter := cb.Syndrome(mem, br, bc)
-			if lead.Any() || counter.Any() {
+			if lead != 0 || counter != 0 {
 				t.Fatalf("block (%d,%d) has non-zero syndrome on freshly built code", br, bc)
 			}
 		}
@@ -48,10 +49,10 @@ func TestSingleDataFlipSyndromeSignature(t *testing.T) {
 	mem.Flip(20, 33) // block (1,2), local (5,3)
 	br, bc, lr, lc := p.BlockOf(20, 33)
 	lead, counter := cb.Syndrome(mem, br, bc)
-	if lead.Popcount() != 1 || counter.Popcount() != 1 {
-		t.Fatalf("syndrome popcounts = (%d,%d), want (1,1)", lead.Popcount(), counter.Popcount())
+	if ln, cn := mathbits.OnesCount64(lead), mathbits.OnesCount64(counter); ln != 1 || cn != 1 {
+		t.Fatalf("syndrome popcounts = (%d,%d), want (1,1)", ln, cn)
 	}
-	if !lead.Get(p.LeadIdx(lr, lc)) || !counter.Get(p.CounterIdx(lr, lc)) {
+	if lead>>uint(p.LeadIdx(lr, lc))&1 == 0 || counter>>uint(p.CounterIdx(lr, lc))&1 == 0 {
 		t.Fatal("syndrome bits at wrong diagonal indices")
 	}
 	// Other blocks remain clean — errors are contained per block.
@@ -61,7 +62,7 @@ func TestSingleDataFlipSyndromeSignature(t *testing.T) {
 				continue
 			}
 			l, c := cb.Syndrome(mem, obr, obc)
-			if l.Any() || c.Any() {
+			if l != 0 || c != 0 {
 				t.Fatalf("unrelated block (%d,%d) shows syndrome", obr, obc)
 			}
 		}

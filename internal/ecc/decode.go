@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"fmt"
+	mathbits "math/bits"
 
 	"repro/internal/bitmat"
 )
@@ -55,21 +56,22 @@ type Diagnosis struct {
 	Diag   int // diagonal index, valid for the two check-error kinds
 }
 
-// Decode interprets a block syndrome. This is the logical function the
-// CMEM controller evaluates after the checking crossbar flags a non-zero
+// Decode interprets a block syndrome given as packed m-bit masks (bit d =
+// diagonal d of its family). This is the logical function the CMEM
+// controller evaluates after the checking crossbar flags a non-zero
 // syndrome (Section IV-A4).
-func Decode(p Params, lead, counter *bitmat.Vec) Diagnosis {
-	ln, cn := lead.Popcount(), counter.Popcount()
+func Decode(p Params, lead, counter uint64) Diagnosis {
+	ln, cn := mathbits.OnesCount64(lead), mathbits.OnesCount64(counter)
 	switch {
 	case ln == 0 && cn == 0:
 		return Diagnosis{Kind: NoError}
 	case ln == 1 && cn == 1:
-		lr, lc := p.Intersect(lead.NextOne(0), counter.NextOne(0))
+		lr, lc := p.Intersect(mathbits.TrailingZeros64(lead), mathbits.TrailingZeros64(counter))
 		return Diagnosis{Kind: DataError, LR: lr, LC: lc}
 	case ln == 1 && cn == 0:
-		return Diagnosis{Kind: LeadCheckError, Diag: lead.NextOne(0)}
+		return Diagnosis{Kind: LeadCheckError, Diag: mathbits.TrailingZeros64(lead)}
 	case ln == 0 && cn == 1:
-		return Diagnosis{Kind: CounterCheckError, Diag: counter.NextOne(0)}
+		return Diagnosis{Kind: CounterCheckError, Diag: mathbits.TrailingZeros64(counter)}
 	default:
 		return Diagnosis{Kind: Uncorrectable}
 	}
@@ -90,9 +92,9 @@ func (cb *CheckBits) CorrectBlock(mem *bitmat.Mat, br, bc int) Diagnosis {
 	case DataError:
 		mem.Flip(br*cb.p.M+d.LR, bc*cb.p.M+d.LC)
 	case LeadCheckError:
-		cb.lead[d.Diag].Flip(br, bc)
+		cb.FlipLead(d.Diag, br, bc)
 	case CounterCheckError:
-		cb.counter[d.Diag].Flip(br, bc)
+		cb.FlipCounter(d.Diag, br, bc)
 	}
 	return d
 }

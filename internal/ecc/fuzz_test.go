@@ -1,9 +1,8 @@
 package ecc
 
 import (
+	mathbits "math/bits"
 	"testing"
-
-	"repro/internal/bitmat"
 )
 
 // Native fuzz targets. Under plain `go test` the seed corpus runs as
@@ -41,18 +40,13 @@ func FuzzDecodeNeverPanics(f *testing.F) {
 	f.Add(uint32(0x7FFF), uint32(0x7FFF))
 	f.Fuzz(func(t *testing.T, leadRaw, counterRaw uint32) {
 		p := Params{N: 15, M: 15}
-		lead := bitmat.NewVec(15)
-		counter := bitmat.NewVec(15)
-		for i := 0; i < 15; i++ {
-			lead.Set(i, leadRaw&(1<<uint(i)) != 0)
-			counter.Set(i, counterRaw&(1<<uint(i)) != 0)
-		}
+		lead, counter := uint64(leadRaw)&0x7FFF, uint64(counterRaw)&0x7FFF
 		d := Decode(p, lead, counter)
 		if d.Kind == DataError {
 			if d.LR < 0 || d.LR >= 15 || d.LC < 0 || d.LC >= 15 {
 				t.Fatalf("decoded cell out of range: %+v", d)
 			}
-			if p.LeadIdx(d.LR, d.LC) != lead.OnesIndices()[0] {
+			if p.LeadIdx(d.LR, d.LC) != mathbits.TrailingZeros64(lead) {
 				t.Fatal("decoded cell not on the flagged leading diagonal")
 			}
 		}

@@ -37,24 +37,20 @@ package ecc
 // exact physical cell).
 import (
 	"fmt"
-	mathbits "math/bits"
 
 	"repro/internal/bitmat"
 )
 
 // validateInterleavedGeometry checks the striped-diagonal constraints:
-// the base diagonal geometry, k columns groups tiling the row, and M
-// logical blocks tiling each sub-code's N/k logical columns. M ≤ 63 keeps
-// each diagonal-parity family of a unit in one machine word.
+// the plain diagonal geometry (M ≤ 63 keeps each diagonal-parity family
+// of a unit in one machine word), k column groups tiling the row, and M
+// logical blocks tiling each sub-code's N/k logical columns.
 func validateInterleavedGeometry(p Params, k int) error {
-	if err := p.Validate(); err != nil {
+	if err := validateDiagonalGeometry(p); err != nil {
 		return err
 	}
 	if k < 2 {
 		return fmt.Errorf("ecc: interleave width k=%d too small (need k ≥ 2)", k)
-	}
-	if p.M > 63 {
-		return fmt.Errorf("ecc: block size m=%d too large for interleaving (need m ≤ 63)", p.M)
 	}
 	if p.N%k != 0 {
 		return fmt.Errorf("ecc: crossbar size n=%d must be a multiple of the interleave width k=%d", p.N, k)
@@ -91,8 +87,10 @@ func newInterleavedScheme(p Params, mem *bitmat.Mat, k int) Scheme {
 		delta: bitmat.NewVec(p.N),
 	}
 	if mem != nil {
-		for r := 0; r < p.N; r++ {
-			mem.Row(r).ForEachOne(func(c int) { s.flipFor(r, c) })
+		for br := 0; br < side; br++ {
+			for bc := 0; bc < side; bc++ {
+				s.RebuildBlock(mem, br, bc)
+			}
 		}
 	}
 	return s
@@ -169,50 +167,57 @@ func (s *interleavedScheme) physCol(sub, r, j int) int {
 	return s.k*j + ((sub-r)%s.k+s.k)%s.k
 }
 
-// syndrome computes the unit's lead/counter syndrome masks: the stored
-// parities XORed with parities recomputed from the memory image.
-func (s *interleavedScheme) syndrome(mem *bitmat.Mat, br, bc int) (lead, ctr uint64) {
-	u := br*s.side + bc
-	lead, ctr = s.lead[u], s.ctr[u]
+// stripe gathers the unit's m cells of physical row r — k columns apart
+// from column c0 — into bits 0..m−1 of one word, reading the row in
+// 64-bit windows.
+func (s *interleavedScheme) stripe(row *bitmat.Vec, c0 int) uint64 {
+	var w uint64
+	for lj := 0; lj < s.p.M; {
+		lo := c0 + lj*s.k
+		x := row.Uint64At(lo, min(64, row.Len()-lo))
+		for off := 0; off < 64 && lj < s.p.M; off += s.k {
+			w |= (x >> uint(off) & 1) << uint(lj)
+			lj++
+		}
+	}
+	return w
+}
+
+// parity recomputes the diagonal parities of the unit homed at block
+// (br,bc) from the memory image, folding each row's stripe as the plain
+// diagonal code folds a block row segment.
+func (s *interleavedScheme) parity(mem *bitmat.Mat, br, bc int) (lead, ctr uint64) {
 	sub, lbr, lbc := s.unitHome(br, bc)
 	m := s.p.M
 	for lr := 0; lr < m; lr++ {
 		r := lbr*m + lr
-		row := mem.Row(r)
-		// The unit's cells in this row sit k columns apart starting at
-		// the stripe offset of the block's first column group.
-		c0 := s.physCol(sub, r, lbc*m)
-		for lj := 0; lj < m; lj++ {
-			if row.Get(c0 + lj*s.k) {
-				lead ^= 1 << uint(s.p.LeadIdx(lr, lj))
-				ctr ^= 1 << uint(s.p.CounterIdx(lr, lj))
-			}
-		}
+		l, c := rowFold(s.stripe(mem.Row(r), s.physCol(sub, r, lbc*m)), lr, m)
+		lead ^= l
+		ctr ^= c
 	}
-	return lead, ctr
+	return lead, rev(ctr, m)
 }
 
 // diagnose decodes the unit's syndrome into home-block-frame diagnoses.
 func (s *interleavedScheme) diagnose(mem *bitmat.Mat, br, bc int) []Diagnosis {
-	lead, ctr := s.syndrome(mem, br, bc)
-	if lead == 0 && ctr == 0 {
+	u := br*s.side + bc
+	lead, ctr := s.parity(mem, br, bc)
+	return s.homeFrame(Decode(s.p, s.lead[u]^lead, s.ctr[u]^ctr), br, bc)
+}
+
+// homeFrame wraps a unit's decoded diagnosis for the Scheme interface,
+// translating Decode's logical data cell into the home block's frame.
+func (s *interleavedScheme) homeFrame(d Diagnosis, br, bc int) []Diagnosis {
+	if d.Kind == NoError {
 		return nil
 	}
-	sub, lbr, lbc := s.unitHome(br, bc)
-	m := s.p.M
-	switch ln, cn := mathbits.OnesCount64(lead), mathbits.OnesCount64(ctr); {
-	case ln == 1 && cn == 1:
-		lr, lj := s.p.Intersect(mathbits.TrailingZeros64(lead), mathbits.TrailingZeros64(ctr))
-		r := lbr*m + lr
-		c := s.physCol(sub, r, lbc*m+lj)
-		return []Diagnosis{{Kind: DataError, LR: lr, LC: c - bc*m}}
-	case ln == 1 && cn == 0:
-		return []Diagnosis{{Kind: LeadCheckError, Diag: mathbits.TrailingZeros64(lead)}}
-	case ln == 0 && cn == 1:
-		return []Diagnosis{{Kind: CounterCheckError, Diag: mathbits.TrailingZeros64(ctr)}}
-	default:
-		return []Diagnosis{{Kind: Uncorrectable}}
+	if d.Kind == DataError {
+		sub, lbr, lbc := s.unitHome(br, bc)
+		m := s.p.M
+		r := lbr*m + d.LR
+		d.LC = s.physCol(sub, r, lbc*m+d.LC) - bc*m
 	}
+	return []Diagnosis{d}
 }
 
 func (s *interleavedScheme) CheckBlock(mem *bitmat.Mat, br, bc int) []Diagnosis {
@@ -237,19 +242,7 @@ func (s *interleavedScheme) CorrectBlock(mem *bitmat.Mat, br, bc int) []Diagnosi
 
 func (s *interleavedScheme) RebuildBlock(mem *bitmat.Mat, br, bc int) {
 	u := br*s.side + bc
-	s.lead[u], s.ctr[u] = 0, 0
-	sub, lbr, lbc := s.unitHome(br, bc)
-	m := s.p.M
-	for lr := 0; lr < m; lr++ {
-		r := lbr*m + lr
-		c0 := s.physCol(sub, r, lbc*m)
-		for lj := 0; lj < m; lj++ {
-			if mem.Get(r, c0+lj*s.k) {
-				s.lead[u] ^= 1 << uint(s.p.LeadIdx(lr, lj))
-				s.ctr[u] ^= 1 << uint(s.p.CounterIdx(lr, lj))
-			}
-		}
-	}
+	s.lead[u], s.ctr[u] = s.parity(mem, br, bc)
 }
 
 // RebuildRowWords: like the plain diagonal code, no unit fits inside one
@@ -280,17 +273,7 @@ func (s *interleavedScheme) ReferenceCheck(mem *bitmat.Mat, br, bc int) []Diagno
 			ctr.Flip(s.p.CounterIdx(lr, lj))
 		}
 	}
-	d := Decode(s.p, lead, ctr)
-	if d.Kind == NoError {
-		return nil
-	}
-	if d.Kind == DataError {
-		// Decode's intersection is logical; translate to the home frame.
-		r := lbr*m + d.LR
-		c := s.physCol(sub, r, lbc*m+d.LC)
-		d.LC = c - bc*m
-	}
-	return []Diagnosis{d}
+	return s.homeFrame(Decode(s.p, lead.Uint64(), ctr.Uint64()), br, bc)
 }
 
 // CoversCell: the unit spans its whole column group, and consumers reach

@@ -156,7 +156,7 @@ type SchemeSpec struct {
 var schemes = map[string]SchemeSpec{
 	SchemeDiagonal: {
 		Name:     SchemeDiagonal,
-		Validate: func(p Params) error { return p.Validate() },
+		Validate: validateDiagonalGeometry,
 		New:      newDiagonalScheme,
 		Corrects: 1, Detects: 2,
 	},
@@ -341,17 +341,7 @@ func (s *diagonalScheme) CorrectBlock(mem *bitmat.Mat, br, bc int) []Diagnosis {
 func (s *diagonalScheme) RebuildRowWords(*bitmat.Mat, int, int) bool { return false }
 
 func (s *diagonalScheme) RebuildBlock(mem *bitmat.Mat, br, bc int) {
-	p := s.cb.p
-	s.cb.ResetBlock(br, bc)
-	for lr := 0; lr < p.M; lr++ {
-		r := br*p.M + lr
-		row := mem.Row(r)
-		for lc := 0; lc < p.M; lc++ {
-			if row.Get(bc*p.M + lc) {
-				s.cb.flipFor(r, bc*p.M+lc)
-			}
-		}
-	}
+	s.cb.rebuildBlock(mem, br, bc)
 }
 
 // ReferenceCheck walks the block one cell at a time straight from the
@@ -375,7 +365,7 @@ func (s *diagonalScheme) ReferenceCheck(mem *bitmat.Mat, br, bc int) []Diagnosis
 			}
 		}
 	}
-	if d := Decode(p, lead, counter); d.Kind != NoError {
+	if d := Decode(p, lead.Uint64(), counter.Uint64()); d.Kind != NoError {
 		return []Diagnosis{d}
 	}
 	return nil

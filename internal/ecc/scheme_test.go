@@ -372,8 +372,18 @@ func TestSchemeCloneIndependence(t *testing.T) {
 // bit-serial reference decoder and the production CheckBlock path agree
 // on every block — the invariant the campaign's cross-check enforces.
 func TestSchemeReferenceCheckAgrees(t *testing.T) {
-	p := Params{N: 60, M: 15}
+	// m=63 puts a diagonal block across bit 64 of each row and an
+	// interleaved unit's stripe across two 64-bit windows.
+	for _, p := range []Params{{N: 60, M: 15}, {N: 252, M: 63}} {
+		testSchemeReferenceCheckAgrees(t, p)
+	}
+}
+
+func testSchemeReferenceCheckAgrees(t *testing.T, p Params) {
 	for _, name := range SchemeNames() {
+		if spec, _ := SchemeByName(name); spec.Validate(p) != nil {
+			continue
+		}
 		rng := rand.New(rand.NewSource(31))
 		for trial := 0; trial < 30; trial++ {
 			mem := randomMemory(int64(trial), p)
@@ -386,11 +396,11 @@ func TestSchemeReferenceCheckAgrees(t *testing.T) {
 					got := s.CheckBlock(mem, br, bc)
 					want := s.ReferenceCheck(mem, br, bc)
 					if len(got) != len(want) {
-						t.Fatalf("%s block (%d,%d): production %v, reference %v", name, br, bc, got, want)
+						t.Fatalf("%s %v block (%d,%d): production %v, reference %v", name, p, br, bc, got, want)
 					}
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("%s block (%d,%d): production %v, reference %v", name, br, bc, got, want)
+							t.Fatalf("%s %v block (%d,%d): production %v, reference %v", name, p, br, bc, got, want)
 						}
 					}
 				}

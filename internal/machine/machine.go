@@ -109,6 +109,11 @@ type Machine struct {
 	spec ecc.SchemeSpec
 	ones *bitmat.Vec // all-columns mask for whole-row delta updates
 
+	// rowBuf is the row UpdateRow hands to mutate; oldBuf is LoadRow's
+	// copy of the row it overwrites. Neither call re-enters the other
+	// while its buffer is live, so two scratch rows serve every write.
+	rowBuf, oldBuf *bitmat.Vec
+
 	// lineCopyCycles is the MEM occupancy of one block-line check on the
 	// CMEM (Fig 4): the 2·M line copies, one per diagonal family per
 	// line, that the diagonal code is charged (0 for other codes).
@@ -222,7 +227,7 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, mem: xbar.New(cfg.N, cfg.N)}
+	m := &Machine{cfg: cfg, mem: xbar.New(cfg.N, cfg.N), rowBuf: bitmat.NewVec(cfg.N), oldBuf: bitmat.NewVec(cfg.N)}
 	if cfg.Repair.Enabled() {
 		m.rt = repair.NewTable(cfg.Repair, cfg.N)
 	}
@@ -363,10 +368,10 @@ func (m *Machine) LoadRow(r int, v *bitmat.Vec) error {
 		// physical row first; write-verify governs this row from here.
 		m.syncRowChecks(r)
 	}
-	old := m.mem.Mat().Row(r).Clone()
+	m.oldBuf.CopyFrom(m.mem.Mat().Row(r))
 	m.mem.WriteRow(r, v)
 	if m.Protected() {
-		m.sch.UpdateRowWrite(r, old, m.mem.Mat().Row(r), m.ones)
+		m.sch.UpdateRowWrite(r, m.oldBuf, m.mem.Mat().Row(r), m.ones)
 		m.tel.UpdateReads.Add(m.updateReads)
 	}
 	if m.defects != nil {
@@ -385,13 +390,15 @@ func (m *Machine) LoadRow(r int, v *bitmat.Vec) error {
 // commits it through the protected write path (one ECC delta update for
 // the whole mutation, however many bits changed). A clean row costs no
 // write and no ECC work. Reports whether the row was written; the error
-// is LoadRow's write-verify verdict (always nil with repair off).
+// is LoadRow's write-verify verdict (always nil with repair off). The
+// copy is a machine-owned scratch row, valid only during the call to
+// mutate.
 func (m *Machine) UpdateRow(r int, mutate func(*bitmat.Vec) bool) (bool, error) {
-	row := m.mem.Mat().Row(r).Clone()
-	if !mutate(row) {
+	m.rowBuf.CopyFrom(m.mem.Mat().Row(r))
+	if !mutate(m.rowBuf) {
 		return false, nil
 	}
-	return true, m.LoadRow(r, row)
+	return true, m.LoadRow(r, m.rowBuf)
 }
 
 // InjectDataFault flips a memristor in MEM — a soft error.

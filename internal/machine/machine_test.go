@@ -626,3 +626,26 @@ func TestUpdateRowCleanSkipsWrite(t *testing.T) {
 		t.Fatal("clean UpdateRow consumed machine work")
 	}
 }
+
+// TestUpdateRowZeroAllocs: a protected row write under the diagonal code,
+// repair off and telemetry detached, reuses the machine's scratch rows
+// and folds its delta without allocating.
+func TestUpdateRowZeroAllocs(t *testing.T) {
+	m := MustNew(testCfg)
+	mutate := func(v *bitmat.Vec) bool {
+		v.Flip(3)
+		v.Flip(40)
+		return true
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := m.UpdateRow(7, mutate); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("UpdateRow: %v allocs/op, want 0", allocs)
+	}
+	if !m.CheckConsistent() {
+		t.Fatal("check bits stale after the allocation-free writes")
+	}
+}

@@ -219,10 +219,11 @@ func (m *Memory) locate(bit int64) (xb *machine.Machine, bank, row, col int, err
 // crossbar row to fn; if fn reports the row dirty, the row is committed
 // through the protected write path — one ECC delta update for the whole
 // coalesced mutation. It is the primitive the serving layer batches
-// same-row requests into. With a repair policy active the committed row
-// is write-verified; a persistent mismatch surfaces as a
-// machine.VerifyError (errors.Is-able against machine.ErrVerify) after
-// the write has been escalated per policy.
+// same-row requests into. The row passed to fn is valid only during the
+// call. With a repair policy active the committed row is write-verified;
+// a persistent mismatch surfaces as a machine.VerifyError (errors.Is-able
+// against machine.ErrVerify) after the write has been escalated per
+// policy.
 func (m *Memory) AccessRow(bank, xb, row int, fn func(v *bitmat.Vec) (dirty bool)) error {
 	if bank < 0 || bank >= m.cfg.Org.Banks || xb < 0 || xb >= m.cfg.Org.PerBank ||
 		row < 0 || row >= m.cfg.Org.CrossbarN {
@@ -353,9 +354,18 @@ func (m *Memory) writeSegments(bit, nbits int64, src []uint64) error {
 		m.banks[s.Bank].Lock()
 		defer m.banks[s.Bank].Unlock()
 		_, err := m.at(s.Bank, s.Crossbar).UpdateRow(s.Row, func(r *bitmat.Vec) bool {
-			for i := 0; i < s.Bits; i++ {
-				j := s.Off + int64(i)
-				r.Set(s.Col+i, src[j>>6]>>(uint(j)&63)&1 != 0)
+			for put := 0; put < s.Bits; {
+				k := s.Bits - put
+				if k > 64 {
+					k = 64
+				}
+				j := s.Off + int64(put)
+				w := src[j>>6] >> (uint(j) & 63)
+				if spill := int(uint(j)&63) + k - 64; spill > 0 {
+					w |= src[j>>6+1] << uint(k-spill)
+				}
+				r.SetUint64At(s.Col+put, k, w)
+				put += k
 			}
 			return true
 		})

@@ -132,9 +132,7 @@ func (ex *executor) run(reqs []Request, emit func(i int, resp Response, info exe
 			for k, r := range group {
 				col := cols[k]
 				if r.Op == OpWrite {
-					for b := 0; b < r.Width; b++ {
-						v.Set(col+b, r.Data>>uint(b)&1 != 0)
-					}
+					v.SetUint64At(col, r.Width, r.Data)
 					dirty = true
 				} else {
 					// Reads see the group's earlier writes: the row buffer
