@@ -57,13 +57,13 @@ func (m *Mat) Flip(r, c int) bool {
 
 func (m *Mat) checkRow(r int) {
 	if r < 0 || r >= m.rows {
-		panic(fmt.Sprintf("bitmat: row %d out of range [0,%d)", r, m.rows))
+		panic(rangeError{"bitmat: row %d out of range [0,%d)", r, m.rows})
 	}
 }
 
 func (m *Mat) checkCol(c int) {
 	if c < 0 || c >= m.cols {
-		panic(fmt.Sprintf("bitmat: column %d out of range [0,%d)", c, m.cols))
+		panic(rangeError{"bitmat: column %d out of range [0,%d)", c, m.cols})
 	}
 }
 

@@ -1,6 +1,7 @@
 package bitmat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -203,4 +204,36 @@ func TestBlockOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	m.Block(2, 2, 3, 3)
+}
+
+// TestPanicTextUnchanged: the range and length checks panic with an
+// error value that formats lazily (so the accessors inline), and its text
+// is the message they always panicked with.
+func TestPanicTextUnchanged(t *testing.T) {
+	m, v := NewMat(3, 4), NewVec(5)
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want string
+	}{
+		{"Mat.Row", func() { m.Row(3) }, "bitmat: row 3 out of range [0,3)"},
+		{"Mat.Get", func() { m.Get(-1, 0) }, "bitmat: row -1 out of range [0,3)"},
+		{"Mat.Flip", func() { m.Flip(0, 4) }, "bitmat: index 4 out of range [0,4)"},
+		{"Mat.Col", func() { m.Col(4) }, "bitmat: column 4 out of range [0,4)"},
+		{"Vec.Set", func() { v.Set(5, true) }, "bitmat: index 5 out of range [0,5)"},
+		{"Vec.CopyFrom", func() { v.CopyFrom(NewVec(4)) }, "bitmat: length mismatch 5 vs 4"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if _, ok := r.(error); !ok {
+					t.Errorf("%s: panic value %#v is not an error", tc.name, r)
+				}
+				if got := fmt.Sprint(r); got != tc.want {
+					t.Errorf("%s: panic text %q, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.f()
+		}()
+	}
 }

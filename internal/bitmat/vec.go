@@ -83,14 +83,23 @@ func (v *Vec) Set(i int, b bool) {
 func (v *Vec) Flip(i int) bool {
 	v.check(i)
 	v.w[i>>6] ^= 1 << uint(i&63)
-	return v.Get(i)
+	return v.w[i>>6]>>uint(i&63)&1 != 0
 }
 
 func (v *Vec) check(i int) {
 	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("bitmat: index %d out of range [0,%d)", i, v.n))
+		panic(rangeError{"bitmat: index %d out of range [0,%d)", i, v.n})
 	}
 }
+
+// rangeError is a failed check's panic value. Formatting it only when read
+// keeps the checks and their accessors within the inline budget.
+type rangeError struct {
+	format string
+	a, b   int
+}
+
+func (e rangeError) Error() string { return fmt.Sprintf(e.format, e.a, e.b) }
 
 // Clone returns a deep copy of v.
 func (v *Vec) Clone() *Vec {
@@ -107,7 +116,7 @@ func (v *Vec) CopyFrom(src *Vec) {
 
 func (v *Vec) sameLen(o *Vec) {
 	if v.n != o.n {
-		panic(fmt.Sprintf("bitmat: length mismatch %d vs %d", v.n, o.n))
+		panic(rangeError{"bitmat: length mismatch %d vs %d", v.n, o.n})
 	}
 }
 
@@ -276,6 +285,9 @@ func (v *Vec) NextOne(i int) int {
 		w = v.w[wi]
 	}
 }
+
+// Words returns a read-only view of v's words (bit i in word i>>6).
+func (v *Vec) Words() []uint64 { return v.w }
 
 // Uint64At returns the k (0 ≤ k ≤ 64) bits starting at offset lo, packed
 // into the low bits of the result — a window read that never allocates.

@@ -375,7 +375,7 @@ func (r *Runner) Round() RoundReport {
 	// 6. Scrub and index the findings by block. Schemes with sub-block
 	// structure may yield several findings per block, in scrub order.
 	findings := r.faulty.ScrubFindings()
-	byBlock := make(map[[2]int][]machine.Finding, len(findings))
+	byBlock := make(map[[2]int][]ecc.Finding, len(findings))
 	for _, f := range findings {
 		key := [2]int{f.BR, f.BC}
 		byBlock[key] = append(byBlock[key], f)
@@ -449,7 +449,7 @@ func (r *Runner) Round() RoundReport {
 // adjudicate classifies one fault cell using the post-scrub memory images,
 // the scrub's block findings, and the round's repair reports (retired and
 // reported cells; nil maps with the repair policy off).
-func (r *Runner) adjudicate(a activeFault, byBlock map[[2]int][]machine.Finding, retired, reported map[[2]int]bool) Outcome {
+func (r *Runner) adjudicate(a activeFault, byBlock map[[2]int][]ecc.Finding, retired, reported map[[2]int]bool) Outcome {
 	g := r.golden.MEM().Get(a.row, a.col)
 	f := r.faulty.MEM().Get(a.row, a.col)
 	if !r.faulty.Protected() {
@@ -518,7 +518,7 @@ func (r *Runner) adjudicate(a activeFault, byBlock map[[2]int][]machine.Finding,
 // holding active faults plus blocks the scrub flagged) with the scheme's
 // bit-serial reference decoder over the pre-scrub state and compares.
 func (r *Runner) verifyFindings(preMem *bitmat.Mat, preImg ecc.Scheme,
-	active []activeFault, findings []machine.Finding, byBlock map[[2]int][]machine.Finding) {
+	active []activeFault, findings []ecc.Finding, byBlock map[[2]int][]ecc.Finding) {
 	suspect := make(map[[2]int]bool)
 	var order [][2]int
 	mark := func(br, bc int) {

@@ -92,16 +92,20 @@ func TestCMEMMatchesDiagonalScheme(t *testing.T) {
 					}
 					what = fmt.Sprintf("check-bit fault %v/%d in block (%d,%d)", f, d, br, bc)
 				default:
+					// The scheme checks the line as the machine does, through
+					// CorrectLine: a ColParallel line is a block row, folded
+					// line-parallel.
 					o, idx, pc := orients[rng.Intn(2)], rng.Intn(g), rng.Intn(cfg.K)
 					got := c.CheckLine(memC, o, idx, pc)
+					found := sch.CorrectLine(memS, o == shifter.ColParallel, idx, nil)
 					for b := 0; b < g; b++ {
 						br, bc := idx, b // ColParallel checks block-row idx
 						if o == shifter.RowParallel {
 							br, bc = b, idx
 						}
 						want := ecc.Diagnosis{Kind: ecc.NoError}
-						if ds := sch.CorrectBlock(memS, br, bc); len(ds) > 0 {
-							want = ds[0]
+						if len(found) > 0 && found[0].BR == br && found[0].BC == bc {
+							want, found = found[0].Diag, found[1:]
 						}
 						gotD, ok := got[b]
 						if !ok {
@@ -111,6 +115,9 @@ func TestCMEMMatchesDiagonalScheme(t *testing.T) {
 							t.Fatalf("step %d: %v check of line %d, block (%d,%d): CMEM %+v, scheme %+v", step, o, idx, br, bc, gotD, want)
 						}
 						seen[want.Kind]++
+					}
+					if len(found) > 0 {
+						t.Fatalf("step %d: findings out of block order or off the line: %+v", step, found)
 					}
 					what = fmt.Sprintf("%v check of line %d on PC %d", o, idx, pc)
 				}

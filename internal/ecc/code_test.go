@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"fmt"
 	mathbits "math/bits"
 	"math/rand"
 	"testing"
@@ -201,4 +202,36 @@ func TestNewCheckBitsRejectsBadParams(t *testing.T) {
 		}
 	}()
 	NewCheckBits(Params{N: 16, M: 4})
+}
+
+// TestConcurrentScrubsShareMasks: crossbars of one geometry share one
+// immutable segment-mask table, built on first use. Goroutines that
+// build and scrub their own crossbars at once, from that first use on,
+// must each repair their own errors exactly; under -race this also
+// checks that nothing writes the shared table after it is published.
+func TestConcurrentScrubsShareMasks(t *testing.T) {
+	p := Params{N: 84, M: 7} // used by no other test, so the table starts unbuilt
+	const workers = 4
+	errs := make(chan string, workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			mem := randomMemory(int64(40+g), p)
+			cb := Build(p, mem)
+			want := mem.Clone()
+			for round := 0; round < 20; round++ {
+				r, c := (g*31+round*17)%p.N, (g*13+round*29)%p.N
+				mem.Flip(r, c)
+				if rep := cb.Scrub(mem); rep.DataCorrected != 1 || rep.Uncorrectable != 0 || !mem.Equal(want) {
+					errs <- fmt.Sprintf("worker %d round %d: scrub %+v did not repair (%d,%d)", g, round, rep, r, c)
+					return
+				}
+			}
+			errs <- ""
+		}(g)
+	}
+	for g := 0; g < workers; g++ {
+		if e := <-errs; e != "" {
+			t.Error(e)
+		}
+	}
 }

@@ -346,6 +346,10 @@ func (s *decScheme) CorrectBlock(mem *bitmat.Mat, br, bc int) []Diagnosis {
 	return out
 }
 
+func (s *decScheme) CorrectLine(mem *bitmat.Mat, blockRow bool, idx int, out []Finding) []Finding {
+	return correctLineByBlock(s, mem, blockRow, idx, out)
+}
+
 func (s *decScheme) RebuildBlock(mem *bitmat.Mat, br, bc int) {
 	for lr := 0; lr < s.p.M; lr++ {
 		r := br*s.p.M + lr

@@ -87,7 +87,13 @@ func (cb *CheckBits) CheckBlock(mem *bitmat.Mat, br, bc int) Diagnosis {
 // flipping the faulty data memristor or check bit. It returns the
 // diagnosis that was acted on.
 func (cb *CheckBits) CorrectBlock(mem *bitmat.Mat, br, bc int) Diagnosis {
-	d := cb.CheckBlock(mem, br, bc)
+	lead, counter := cb.Syndrome(mem, br, bc)
+	return cb.repair(mem, br, bc, lead, counter)
+}
+
+// repair decodes block (br,bc)'s syndrome and repairs a single error.
+func (cb *CheckBits) repair(mem *bitmat.Mat, br, bc int, lead, counter uint64) Diagnosis {
+	d := Decode(cb.p, lead, counter)
 	switch d.Kind {
 	case DataError:
 		mem.Flip(br*cb.p.M+d.LR, bc*cb.p.M+d.LC)
@@ -108,36 +114,42 @@ type ScrubReport struct {
 	Uncorrectable  int
 }
 
-// Scrub checks and corrects every block, returning a summary. It models
-// the periodic full-memory ECC check the reliability analysis assumes.
+// Scrub checks and corrects every block, block row by block row, and
+// returns a summary: the periodic check the reliability analysis assumes.
 func (cb *CheckBits) Scrub(mem *bitmat.Mat) ScrubReport {
-	var rep ScrubReport
-	s := cb.p.BlocksPerSide()
-	for br := 0; br < s; br++ {
-		for bc := 0; bc < s; bc++ {
-			rep.BlocksChecked++
-			switch cb.CorrectBlock(mem, br, bc).Kind {
-			case DataError:
-				rep.DataCorrected++
-			case LeadCheckError, CounterCheckError:
-				rep.CheckCorrected++
-			case Uncorrectable:
-				rep.Uncorrectable++
-			}
-		}
+	var found []Finding
+	for br := 0; br < cb.side; br++ {
+		found = cb.CheckBlockRow(mem, br, found)
 	}
-	return rep
+	var n [CheckError + 1]int
+	for _, f := range found {
+		n[f.Diag.Kind]++
+	}
+	return ScrubReport{BlocksChecked: cb.side * cb.side, DataCorrected: n[DataError],
+		CheckCorrected: n[LeadCheckError] + n[CounterCheckError], Uncorrectable: n[Uncorrectable]}
 }
 
-// CheckBlockRow checks all blocks in block-row br (the paper's
-// before-execution input check covers the row/column of blocks holding the
-// function inputs) and corrects single errors. It returns the diagnoses of
-// the non-clean blocks keyed by block column.
-func (cb *CheckBits) CheckBlockRow(mem *bitmat.Mat, br int) map[int]Diagnosis {
-	out := make(map[int]Diagnosis)
-	for bc := 0; bc < cb.p.BlocksPerSide(); bc++ {
-		if d := cb.CorrectBlock(mem, br, bc); d.Kind != NoError {
-			out[bc] = d
+// Finding is one non-clean code unit from a block-line check: its home
+// block and the diagnosis acted on (single errors already repaired).
+type Finding struct {
+	BR, BC int
+	Diag   Diagnosis
+}
+
+// DataCell returns the repaired data cell's global coordinates (DataError).
+func (f Finding) DataCell(m int) (r, c int) {
+	return f.BR*m + f.Diag.LR, f.BC*m + f.Diag.LC
+}
+
+// CheckBlockRow checks and corrects every block of block row br with one
+// line-parallel fold, appending a Finding per non-clean block to out.
+func (cb *CheckBits) CheckBlockRow(mem *bitmat.Mat, br int, out []Finding) []Finding {
+	l, c := cb.foldBlockRow(mem, br)
+	for bc := 0; bc < cb.side; bc++ {
+		u := br*cb.side + bc
+		lead, counter := cb.lineParity(l, c, bc)
+		if d := cb.repair(mem, br, bc, cb.lead[u]^lead, cb.counter[u]^counter); d.Kind != NoError {
+			out = append(out, Finding{BR: br, BC: bc, Diag: d})
 		}
 	}
 	return out

@@ -187,9 +187,14 @@ func TestCheckBlockRow(t *testing.T) {
 	// Inject one error in two different blocks of block-row 1.
 	mem.Flip(p.M+3, 4)       // block (1,0)
 	mem.Flip(p.M+7, 2*p.M+8) // block (1,2)
-	diags := cb.CheckBlockRow(mem, 1)
-	if len(diags) != 2 {
-		t.Fatalf("got %d dirty blocks, want 2: %v", len(diags), diags)
+	found := cb.CheckBlockRow(mem, 1, nil)
+	if len(found) != 2 {
+		t.Fatalf("got %d dirty blocks, want 2: %v", len(found), found)
+	}
+	for i, bc := range []int{0, 2} {
+		if f := found[i]; f.BR != 1 || f.BC != bc || f.Diag.Kind != DataError {
+			t.Fatalf("finding %d = %+v, want a data error in block (1,%d)", i, f, bc)
+		}
 	}
 	if !mem.Equal(want) {
 		t.Fatal("input check did not repair the block row")

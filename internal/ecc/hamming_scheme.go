@@ -237,6 +237,10 @@ func (h *hammingScheme) CorrectBlock(mem *bitmat.Mat, br, bc int) []Diagnosis {
 	return out
 }
 
+func (h *hammingScheme) CorrectLine(mem *bitmat.Mat, blockRow bool, idx int, out []Finding) []Finding {
+	return correctLineByBlock(h, mem, blockRow, idx, out)
+}
+
 func (h *hammingScheme) RebuildBlock(mem *bitmat.Mat, br, bc int) {
 	for lr := 0; lr < h.p.M; lr++ {
 		h.rebuildWord(mem, br*h.p.M+lr, bc)

@@ -130,29 +130,46 @@ func (s *interleavedScheme) unitAt(r, c int) (u, lr, lj int) {
 	return br*s.side + bc, r % s.p.M, j % s.p.M
 }
 
-// flipFor toggles the two diagonal parity bits covering cell (r,c).
-func (s *interleavedScheme) flipFor(r, c int) {
-	u, lr, lj := s.unitAt(r, c)
-	s.lead[u] ^= 1 << uint(s.p.LeadIdx(lr, lj))
-	s.ctr[u] ^= 1 << uint(s.p.CounterIdx(lr, lj))
-}
-
 func (s *interleavedScheme) UpdateWrite(r, c int, oldVal, newVal bool) {
 	if oldVal != newVal {
-		s.flipFor(r, c)
+		u, lr, lj := s.unitAt(r, c)
+		s.lead[u] ^= 1 << uint(s.p.LeadIdx(lr, lj))
+		s.ctr[u] ^= 1 << uint(s.p.CounterIdx(lr, lj))
 	}
 }
 
+// UpdateRowWrite folds the masked delta's stripe of each unit crossed.
 func (s *interleavedScheme) UpdateRowWrite(r int, oldRow, newRow, cols *bitmat.Vec) {
 	s.delta.Xor(oldRow, newRow)
 	s.delta.And(s.delta, cols)
-	s.delta.ForEachOne(func(c int) { s.flipFor(r, c) })
+	m := s.p.M
+	br, lr := r/m, r%m
+	for bc := 0; bc < s.side; bc++ {
+		sub, _, lbc := s.unitHome(br, bc)
+		l, c := rowFold(s.stripe(s.delta, s.physCol(sub, r, lbc*m)), lr, m)
+		s.lead[br*s.side+bc] ^= l
+		s.ctr[br*s.side+bc] ^= rev(c, m)
+	}
 }
 
+// UpdateColumnWrite folds one delta word per unit crossed: column c's
+// cell in row r is logical column c/k of sub-code (r+c) mod k.
 func (s *interleavedScheme) UpdateColumnWrite(c int, oldCol, newCol, rows *bitmat.Vec) {
 	s.delta.Xor(oldCol, newCol)
 	s.delta.And(s.delta, rows)
-	s.delta.ForEachOne(func(r int) { s.flipFor(r, c) })
+	m, k := s.p.M, s.k
+	lbc, lj := c/k/m, c/k%m
+	for br := 0; br < s.side; br++ {
+		seg := s.delta.Uint64At(br*m, m)
+		for sub := 0; seg != 0 && sub < k; sub++ {
+			var w uint64 // the segment's rows lr with (br·m+lr+c) mod k = sub
+			for lr := ((sub-br*m-c)%k + k) % k; lr < m; lr += k {
+				w |= seg & (1 << uint(lr))
+			}
+			s.lead[br*s.side+lbc*k+sub] ^= rotl(w, lj, m)
+			s.ctr[br*s.side+lbc*k+sub] ^= rotl(w, (m-lj)%m, m)
+		}
+	}
 }
 
 // unitHome decodes home block (br,bc) into the unit's sub-code and
@@ -238,6 +255,10 @@ func (s *interleavedScheme) CorrectBlock(mem *bitmat.Mat, br, bc int) []Diagnosi
 		}
 	}
 	return ds
+}
+
+func (s *interleavedScheme) CorrectLine(mem *bitmat.Mat, blockRow bool, idx int, out []Finding) []Finding {
+	return correctLineByBlock(s, mem, blockRow, idx, out)
 }
 
 func (s *interleavedScheme) RebuildBlock(mem *bitmat.Mat, br, bc int) {

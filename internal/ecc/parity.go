@@ -121,6 +121,10 @@ func (s *parityScheme) RebuildRowWords(mem *bitmat.Mat, r, bc int) bool {
 	return true
 }
 
+func (s *parityScheme) CorrectLine(mem *bitmat.Mat, blockRow bool, idx int, out []Finding) []Finding {
+	return correctLineByBlock(s, mem, blockRow, idx, out)
+}
+
 func (s *parityScheme) RebuildBlock(mem *bitmat.Mat, br, bc int) {
 	for lr := 0; lr < s.p.M; lr++ {
 		r := br*s.p.M + lr

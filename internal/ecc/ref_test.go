@@ -137,19 +137,24 @@ func (ref *refCheckBits) mismatch(cb *CheckBits) string {
 }
 
 // FuzzCheckBitsMatchBitSerial pins every word-parallel fold of CheckBits
-// to the bit-serial spec: Build, RebuildBlock, row- and column-parallel
-// updates under random masks (whose new lines also differ outside the
-// mask, so a dropped mask shows), Syndrome, and CorrectBlock's
-// diagnoses, compared block by block after every step. The geometries
-// cover the smallest odd block, the paper's m=15, word-straddling m=11
-// segments and m=63, whose second block straddles bit 64 of every row.
+// to the bit-serial spec: the line-parallel Build, RebuildBlock, row- and
+// column-parallel updates under random masks (whose new lines also
+// differ outside the mask, so a dropped mask shows), Syndrome,
+// CorrectBlock's diagnoses, and the line-parallel block-row check and
+// Scrub, compared block by block after every step. The geometries cover
+// the smallest odd block, the paper's m=15 with rows of one (60), two
+// (45, 90) and more words, word-straddling m=11 segments, and m=63,
+// whose second block straddles bit 64 of every row, at two and three
+// words per row.
 func FuzzCheckBitsMatchBitSerial(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0x01, 0x02})
 	f.Add(int64(2), []byte{0x01, 0x10, 0xFF, 0x02, 0x2C, 0x80, 0x04, 0x00, 0x00})
 	f.Add(int64(3), []byte{0x03, 0x07, 0x55, 0x04, 0x00, 0x00, 0x01, 0x08, 0x18, 0x03, 0x40, 0x41, 0x04, 0, 0})
 	f.Add(int64(9), []byte{2, 4, 4, 1, 4, 4, 0, 0, 0, 3, 3, 3, 4, 9, 9})
+	f.Add(int64(5), []byte{3, 70, 8, 5, 0, 2, 3, 12, 9, 5, 0, 1, 0, 40, 7, 3, 99, 4, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
-		for _, p := range []Params{{N: 9, M: 3}, {N: 45, M: 15}, {N: 66, M: 11}, {N: 126, M: 63}} {
+		for _, p := range []Params{{N: 9, M: 3}, {N: 45, M: 15}, {N: 60, M: 15}, {N: 90, M: 15},
+			{N: 66, M: 11}, {N: 126, M: 63}, {N: 189, M: 63}} {
 			s := p.BlocksPerSide()
 			memA := randomMemory(seed, p)
 			memB := memA.Clone()
@@ -166,7 +171,7 @@ func FuzzCheckBitsMatchBitSerial(f *testing.F) {
 			}
 			compare("Build")
 			for i := 0; i+2 < len(script) && i < 60; i += 3 {
-				op, line, payload := script[i]%5, int(script[i+1])%p.N, script[i+2]
+				op, line, payload := script[i]%6, int(script[i+1])%p.N, script[i+2]
 				rng := rand.New(rand.NewSource(seed ^ int64(i)<<20 ^ int64(payload)<<8))
 				switch op {
 				case 0: // a soft error absorbed by RebuildBlock
@@ -219,7 +224,7 @@ func FuzzCheckBitsMatchBitSerial(f *testing.F) {
 						}
 					}
 					compare("Syndrome")
-				default: // a scrub, block by block
+				case 4: // a scrub, block by block
 					for br := 0; br < s; br++ {
 						for bc := 0; bc < s; bc++ {
 							if got, want := cb.CorrectBlock(memA, br, bc), ref.correctBlock(memB, br, bc); got != want {
@@ -228,6 +233,41 @@ func FuzzCheckBitsMatchBitSerial(f *testing.F) {
 							compare("CorrectBlock")
 						}
 					}
+				default: // a scrub, one line-parallel block row at a time
+					var want []Finding
+					var wantRep ScrubReport
+					for br := 0; br < s; br++ {
+						for bc := 0; bc < s; bc++ {
+							d := ref.correctBlock(memB, br, bc)
+							if d.Kind != NoError {
+								want = append(want, Finding{BR: br, BC: bc, Diag: d})
+							}
+							wantRep.BlocksChecked++
+							switch d.Kind {
+							case DataError:
+								wantRep.DataCorrected++
+							case LeadCheckError, CounterCheckError:
+								wantRep.CheckCorrected++
+							case Uncorrectable:
+								wantRep.Uncorrectable++
+							}
+						}
+					}
+					if payload&1 != 0 {
+						if rep := cb.Scrub(memA); rep != wantRep {
+							t.Fatalf("%v: Scrub = %+v, spec %+v", p, rep, wantRep)
+						}
+						compare("Scrub")
+						break
+					}
+					var got []Finding
+					for br := 0; br < s; br++ {
+						got = cb.CheckBlockRow(memA, br, got)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%v: CheckBlockRow findings %+v, spec %+v", p, got, want)
+					}
+					compare("CheckBlockRow")
 				}
 			}
 		}
@@ -235,7 +275,8 @@ func FuzzCheckBitsMatchBitSerial(f *testing.F) {
 }
 
 // TestCheckBitsZeroAllocs: the diagonal code's line updates, block
-// rebuild and clean-block check and correct run without allocating.
+// rebuild, and clean-block and clean-line check and correct run without
+// allocating.
 func TestCheckBitsZeroAllocs(t *testing.T) {
 	p := Params{N: 90, M: 15}
 	mem := randomMemory(1, p)
@@ -257,9 +298,11 @@ func TestCheckBitsZeroAllocs(t *testing.T) {
 			s.UpdateColumnWrite(7, old, cur, mask)
 			s.UpdateColumnWrite(7, cur, old, mask)
 		},
-		"RebuildBlock": func() { s.RebuildBlock(mem, 2, 3) },
-		"CheckBlock":   func() { s.CheckBlock(mem, 2, 3) },
-		"CorrectBlock": func() { s.CorrectBlock(mem, 2, 3) },
+		"RebuildBlock":        func() { s.RebuildBlock(mem, 2, 3) },
+		"CheckBlock":          func() { s.CheckBlock(mem, 2, 3) },
+		"CorrectBlock":        func() { s.CorrectBlock(mem, 2, 3) },
+		"CorrectLine(row)":    func() { s.CorrectLine(mem, true, 2, nil) },
+		"CorrectLine(column)": func() { s.CorrectLine(mem, false, 3, nil) },
 	}
 	for name, op := range ops {
 		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {

@@ -84,6 +84,10 @@ type Scheme interface {
 	// can, in place (data cells in mem, check bits in the scheme state).
 	// It returns the diagnoses acted on, in the same order as CheckBlock.
 	CorrectBlock(mem *bitmat.Mat, br, bc int) []Diagnosis
+	// CorrectLine is CorrectBlock over block row idx (blockRow) or block
+	// column idx, the unit of the scrub and the input checks. It appends
+	// each diagnosis to out as a Finding, in block order.
+	CorrectLine(mem *bitmat.Mat, blockRow bool, idx int, out []Finding) []Finding
 	// RebuildBlock re-establishes the check bits of block (br,bc) from the
 	// memory image — the controller maintenance path used after unprotected
 	// scratch regions are reclaimed.
@@ -270,23 +274,37 @@ func ParseSchemeFlag(v string) (name string, enabled bool, err error) {
 	return v, true, nil
 }
 
+// correctLineByBlock is CorrectLine as one CorrectBlock per block.
+func correctLineByBlock(s Scheme, mem *bitmat.Mat, blockRow bool, idx int, out []Finding) []Finding {
+	for b := 0; b < s.Params().BlocksPerSide(); b++ {
+		br, bc := idx, b
+		if !blockRow {
+			br, bc = b, idx
+		}
+		for _, d := range s.CorrectBlock(mem, br, bc) {
+			out = append(out, Finding{BR: br, BC: bc, Diag: d})
+		}
+	}
+	return out
+}
+
 // --- diagonal adapter --------------------------------------------------------
 
 // diagonalScheme adapts the word-parallel CheckBits to the Scheme
-// interface. It is a thin wrapper: every hot operation delegates straight
-// to the existing delta-update and syndrome paths, so driving the diagonal
-// code through the interface is bit-for-bit the legacy behavior
-// (FuzzSchemeEquivalence pins this).
+// interface. It is a thin wrapper: the delta updates are CheckBits' own,
+// and every other operation delegates straight to its syndrome paths, so
+// driving the diagonal code through the interface is bit-for-bit the
+// legacy behavior (FuzzSchemeEquivalence pins this).
 type diagonalScheme struct {
-	cb *CheckBits
+	*CheckBits
 }
 
 // newDiagonalScheme implements SchemeSpec.New for the diagonal code.
 func newDiagonalScheme(p Params, mem *bitmat.Mat) Scheme {
 	if mem == nil {
-		return &diagonalScheme{cb: NewCheckBits(p)}
+		return &diagonalScheme{NewCheckBits(p)}
 	}
-	return &diagonalScheme{cb: Build(p, mem)}
+	return &diagonalScheme{Build(p, mem)}
 }
 
 // DiagonalCheckBits returns the live check-bit state of a diagonal-scheme
@@ -295,45 +313,41 @@ func newDiagonalScheme(p Params, mem *bitmat.Mat) Scheme {
 // fault injection and the gate-level CMEM model reach the state here.
 func DiagonalCheckBits(s Scheme) *CheckBits {
 	if d, ok := s.(*diagonalScheme); ok {
-		return d.cb
+		return d.CheckBits
 	}
 	return nil
 }
 
-func (s *diagonalScheme) Name() string   { return SchemeDiagonal }
-func (s *diagonalScheme) Params() Params { return s.cb.Params() }
+func (s *diagonalScheme) Name() string { return SchemeDiagonal }
 
-func (s *diagonalScheme) Clone() Scheme { return &diagonalScheme{cb: s.cb.Clone()} }
+func (s *diagonalScheme) Clone() Scheme { return &diagonalScheme{s.CheckBits.Clone()} }
 
 func (s *diagonalScheme) Equal(o Scheme) bool {
 	od, ok := o.(*diagonalScheme)
-	return ok && s.cb.Equal(od.cb)
-}
-
-func (s *diagonalScheme) UpdateWrite(r, c int, oldVal, newVal bool) {
-	s.cb.UpdateWrite(r, c, oldVal, newVal)
-}
-
-func (s *diagonalScheme) UpdateRowWrite(r int, oldRow, newRow, cols *bitmat.Vec) {
-	s.cb.UpdateRowWrite(r, oldRow, newRow, cols)
-}
-
-func (s *diagonalScheme) UpdateColumnWrite(c int, oldCol, newCol, rows *bitmat.Vec) {
-	s.cb.UpdateColumnWrite(c, oldCol, newCol, rows)
+	return ok && s.CheckBits.Equal(od.CheckBits)
 }
 
 func (s *diagonalScheme) CheckBlock(mem *bitmat.Mat, br, bc int) []Diagnosis {
-	if d := s.cb.CheckBlock(mem, br, bc); d.Kind != NoError {
+	if d := s.CheckBits.CheckBlock(mem, br, bc); d.Kind != NoError {
 		return []Diagnosis{d}
 	}
 	return nil
 }
 
 func (s *diagonalScheme) CorrectBlock(mem *bitmat.Mat, br, bc int) []Diagnosis {
-	if d := s.cb.CorrectBlock(mem, br, bc); d.Kind != NoError {
+	if d := s.CheckBits.CorrectBlock(mem, br, bc); d.Kind != NoError {
 		return []Diagnosis{d}
 	}
 	return nil
+}
+
+// CorrectLine folds a block row line-parallel (CheckBits.CheckBlockRow)
+// and checks a block column block by block.
+func (s *diagonalScheme) CorrectLine(mem *bitmat.Mat, blockRow bool, idx int, out []Finding) []Finding {
+	if blockRow {
+		return s.CheckBlockRow(mem, idx, out)
+	}
+	return correctLineByBlock(s, mem, false, idx, out)
 }
 
 // RebuildRowWords: the diagonal code unit is the whole block — no unit
@@ -341,7 +355,7 @@ func (s *diagonalScheme) CorrectBlock(mem *bitmat.Mat, br, bc int) []Diagnosis {
 func (s *diagonalScheme) RebuildRowWords(*bitmat.Mat, int, int) bool { return false }
 
 func (s *diagonalScheme) RebuildBlock(mem *bitmat.Mat, br, bc int) {
-	s.cb.rebuildBlock(mem, br, bc)
+	s.rebuildBlock(mem, br, bc)
 }
 
 // ReferenceCheck walks the block one cell at a time straight from the
@@ -350,12 +364,12 @@ func (s *diagonalScheme) RebuildBlock(mem *bitmat.Mat, br, bc int) {
 // word-parallel production path pins a bug in the pipeline, not in the
 // mathematics. (Moved here from the campaign's diagonal-only ref.go.)
 func (s *diagonalScheme) ReferenceCheck(mem *bitmat.Mat, br, bc int) []Diagnosis {
-	p := s.cb.p
+	p := s.p
 	lead := bitmat.NewVec(p.M)
 	counter := bitmat.NewVec(p.M)
 	for d := 0; d < p.M; d++ {
-		lead.Set(d, s.cb.Lead(d, br, bc))
-		counter.Set(d, s.cb.Counter(d, br, bc))
+		lead.Set(d, s.Lead(d, br, bc))
+		counter.Set(d, s.Counter(d, br, bc))
 	}
 	for lr := 0; lr < p.M; lr++ {
 		for lc := 0; lc < p.M; lc++ {
@@ -377,12 +391,12 @@ func (s *diagonalScheme) CoversCell(Diagnosis, int, int) bool { return true }
 
 // UnitOf: the code unit is the cell's own block.
 func (s *diagonalScheme) UnitOf(r, c int) (ubr, ubc, sub int) {
-	return r / s.cb.p.M, c / s.cb.p.M, 0
+	return r / s.p.M, c / s.p.M, 0
 }
 
 // HomeColumns: block-column-local — the covering units are home.
 func (s *diagonalScheme) HomeColumns(firstBC, lastBC int) (int, int) { return firstBC, lastBC }
 
-func (s *diagonalScheme) OverheadBits() int { return s.cb.p.TotalCheckBits() }
+func (s *diagonalScheme) OverheadBits() int { return s.p.TotalCheckBits() }
 
 func (s *diagonalScheme) LineUpdateReads(lines int) int { return 2 * lines }

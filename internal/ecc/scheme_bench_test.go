@@ -27,7 +27,8 @@ func benchScheme(b *testing.B, name string) (Scheme, *bitmat.Mat, Params) {
 }
 
 // BenchmarkSchemeScrub: full-crossbar check-and-correct sweep per scheme
-// (the scrub cost of the E10 table), on a clean image.
+// (the scrub cost of the E10 table), on a clean image, one block row per
+// CorrectLine as the machine's scrub sweeps it.
 func BenchmarkSchemeScrub(b *testing.B) {
 	for _, name := range SchemeNames() {
 		b.Run("scheme="+name, func(b *testing.B) {
@@ -35,9 +36,7 @@ func BenchmarkSchemeScrub(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for br := 0; br < p.BlocksPerSide(); br++ {
-					for bc := 0; bc < p.BlocksPerSide(); bc++ {
-						s.CorrectBlock(mem, br, bc)
-					}
+					s.CorrectLine(mem, true, br, nil)
 				}
 			}
 			// After the loop: ResetTimer discards earlier ReportMetric calls.

@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -116,6 +117,39 @@ func FuzzSchemeContract(f *testing.F) {
 					}
 				}
 			}
+			// The block-line method is a per-block CorrectBlock sweep: on a
+			// copy with errors scattered along one block line, the two must
+			// agree on findings, repaired memory and stored state.
+			if len(script) > 0 {
+				blockRow, idx := script[0]&1 != 0, int(script[0]>>1)%p.BlocksPerSide()
+				lineMem, lineS := mem.Clone(), s.Clone()
+				for i, b := range script {
+					at := idx*p.M + int(b)%p.M
+					r, c := at, (int(b)*7+i*13)%p.N
+					if !blockRow {
+						r, c = c, at
+					}
+					lineMem.Flip(r, c)
+				}
+				sweepMem, sweepS := lineMem.Clone(), lineS.Clone()
+				got := lineS.CorrectLine(lineMem, blockRow, idx, nil)
+				var want []Finding
+				for b := 0; b < p.BlocksPerSide(); b++ {
+					br, bc := idx, b
+					if !blockRow {
+						br, bc = b, idx
+					}
+					for _, d := range sweepS.CorrectBlock(sweepMem, br, bc) {
+						want = append(want, Finding{BR: br, BC: bc, Diag: d})
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s %v: CorrectLine(blockRow=%v, %d) = %+v, per-block sweep %+v", name, p, blockRow, idx, got, want)
+				}
+				if !lineMem.Equal(sweepMem) || !lineS.Equal(sweepS) {
+					t.Fatalf("%s %v: CorrectLine(blockRow=%v, %d) repaired differently from the per-block sweep", name, p, blockRow, idx)
+				}
+			}
 			// Closing invariant: a delta row write leaves the stored state
 			// identical to a from-scratch rebuild.
 			r := int(uint64(seed)>>8) % p.N
@@ -179,7 +213,7 @@ func FuzzSchemeEquivalence(f *testing.F) {
 					}
 				}
 			}
-			if !sch.Equal(&diagonalScheme{cb: legacy}) {
+			if !sch.Equal(&diagonalScheme{legacy}) {
 				t.Fatalf("%s: check-bit states diverged", stage)
 			}
 		}

@@ -426,30 +426,16 @@ func (m *Machine) CheckConsistent() bool {
 	return m.sch == nil || m.sch.Equal(m.spec.New(ecc.Params{N: m.cfg.N, M: m.cfg.M}, m.mem.Mat()))
 }
 
-// Finding is one non-clean block from a detailed scrub: its block
-// coordinates and the diagnosis the controller acted on (single errors are
-// already repaired in place when the finding is returned).
-type Finding struct {
-	BR, BC int
-	Diag   ecc.Diagnosis
-}
-
-// DataCell returns the global coordinates of the repaired data cell; valid
-// only when Diag.Kind is ecc.DataError.
-func (f Finding) DataCell(m int) (r, c int) {
-	return f.BR*m + f.Diag.LR, f.BC*m + f.Diag.LC
-}
-
 // ScrubFindings performs the periodic full-memory ECC check and returns
 // every non-clean block with its diagnosis, in deterministic (block-row,
 // block-column) order — the evidence stream a fault-campaign adjudicator
 // matches against injected faults. Single errors are corrected in place;
 // uncorrectable blocks are flagged untouched.
-func (m *Machine) ScrubFindings() []Finding {
+func (m *Machine) ScrubFindings() []ecc.Finding {
 	if !m.Protected() {
 		return nil
 	}
-	var out []Finding
+	var out []ecc.Finding
 	for br := 0; br < m.cfg.N/m.cfg.M; br++ {
 		out = m.checkLine(out, shifter.ColParallel, br)
 	}
@@ -469,34 +455,23 @@ func (m *Machine) ScrubFindings() []Finding {
 	return out
 }
 
-// checkLine checks and corrects every block of one block line (block-row
-// idx for ColParallel, block-column idx for RowParallel, as in the CMEM's
-// CheckLine) and appends the non-clean findings to out in block order,
-// several per block for codes with sub-block units (Hamming words). The
-// diagonal code is charged the CMEM check's MEM occupancy: the line
+// checkLine checks and corrects one block line through CorrectLine
+// (block-row idx for ColParallel, block-column idx for RowParallel, as in
+// the CMEM's CheckLine), appending its findings to out in block order.
+// The diagonal code is charged the CMEM check's MEM occupancy: the line
 // copies, then one write per repaired data cell. Findings are tallied
 // after the line, so their events carry its closing cycle.
-func (m *Machine) checkLine(out []Finding, o shifter.Orientation, idx int) []Finding {
+func (m *Machine) checkLine(out []ecc.Finding, o shifter.Orientation, idx int) []ecc.Finding {
 	start := len(out)
-	for b := 0; b < m.cfg.N/m.cfg.M; b++ {
-		br, bc := idx, b
-		if o == shifter.RowParallel {
-			br, bc = b, idx
-		}
-		for _, d := range m.sch.CorrectBlock(m.mem.Mat(), br, bc) {
-			out = append(out, Finding{BR: br, BC: bc, Diag: d})
+	out = m.sch.CorrectLine(m.mem.Mat(), o == shifter.ColParallel, idx, out)
+	cycles := m.lineCopyCycles
+	for _, f := range out[start:] {
+		if cycles > 0 && f.Diag.Kind == ecc.DataError {
+			cycles++
 		}
 	}
-	if m.lineCopyCycles > 0 {
-		cycles := m.lineCopyCycles
-		for _, f := range out[start:] {
-			if f.Diag.Kind == ecc.DataError {
-				cycles++
-			}
-		}
-		for ; cycles > 0; cycles-- {
-			m.mem.Tick()
-		}
+	for ; cycles > 0; cycles-- {
+		m.mem.Tick()
 	}
 	for _, f := range out[start:] {
 		m.tallyDiag(f.Diag)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitmat"
 	"repro/internal/mmpu"
@@ -32,6 +33,10 @@ type executor struct {
 	// merged requests served by one open row (the telemetry EvCoalesce
 	// hook; nil when tracing is off).
 	coalesce func(bank, xb, row, merged int)
+
+	// One coalesced group's scratch, reused: each core owns its executor.
+	cols  []int
+	resps []Response
 }
 
 // singleRow reports whether the request lies entirely within one crossbar
@@ -115,7 +120,7 @@ func (ex *executor) run(reqs []Request, emit func(i int, resp Response, info exe
 			continue
 		}
 		// Extend the run while requests keep hitting the open row.
-		cols := []int{seg.Col}
+		cols := append(ex.cols[:0], seg.Col)
 		j := i + 1
 		for j < len(reqs) {
 			s, ok := ex.singleRow(reqs[j])
@@ -126,7 +131,9 @@ func (ex *executor) run(reqs []Request, emit func(i int, resp Response, info exe
 			j++
 		}
 		group := reqs[i:j]
-		resps := make([]Response, len(group))
+		resps := slices.Grow(ex.resps[:0], len(group))[:len(group)]
+		clear(resps)
+		ex.cols, ex.resps = cols, resps
 		err := ex.mem.AccessRow(seg.Bank, seg.Crossbar, seg.Row, func(v *bitmat.Vec) bool {
 			dirty := false
 			for k, r := range group {

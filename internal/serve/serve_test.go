@@ -260,3 +260,25 @@ func TestExecutorCoalescesSameRowRuns(t *testing.T) {
 		t.Fatalf("committed row lost the write: %#x", resps[5].Data)
 	}
 }
+
+// TestExecutorCoalescedGroupZeroAllocs: a coalesced group reuses the
+// executor's column and response scratch, so serving it allocates
+// nothing once the scratch has grown to the group's size.
+func TestExecutorCoalescedGroupZeroAllocs(t *testing.T) {
+	mem := testMem(t, 45, 15, 2, 2)
+	ex := executor{mem: mem, org: mem.Config().Org}
+	reqs := []Request{
+		{Op: OpWrite, Addr: 0, Width: 16, Data: 0xBEEF},
+		{Op: OpRead, Addr: 0, Width: 16},
+		{Op: OpWrite, Addr: 20, Width: 16, Data: 7},
+		{Op: OpRead, Addr: 20, Width: 16},
+	}
+	var sum uint64
+	emit := func(_ int, resp Response, info execInfo) { sum += resp.Data }
+	if allocs := testing.AllocsPerRun(100, func() { ex.run(reqs, emit) }); allocs != 0 {
+		t.Fatalf("coalesced group: %v allocs/run, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("the group's reads returned nothing")
+	}
+}
