@@ -20,7 +20,7 @@
 //	campaign -ecc parity -ser 1e-4         # detect-only parity baseline
 //	campaign -ecc diagonal-x4 -model lines:4   # interleaved: line bursts decompose
 //	campaign -schemes all -model lines:4   # scheme-comparison matrix, one row per code
-//	campaign -ecc=false -ser 1e-4          # the unprotected baseline
+//	campaign -ecc none -ser 1e-4           # the unprotected baseline
 //	campaign -model stuck1 -repair verify+spare   # self-healing: silent → repaired
 //	campaign -model stuck1 -repair verify+spare -spares 0   # exhausted budget, still never silent
 package main

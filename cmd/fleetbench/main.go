@@ -7,11 +7,11 @@
 //
 //	fleetbench -scenario uniform -banks 8 -perbank 4 -workers 4
 //	fleetbench -scenario hotbank -intensity 256
-//	fleetbench -scenario faultstorm -duration 3s -ecc=true
+//	fleetbench -scenario faultstorm -duration 3s -ecc diagonal
 //	fleetbench -scenario faultstorm -ser 2e5 -hours 2 -seed 7   # reproducible storm
 //	fleetbench -scenario campaign -model stuck1 -ser 1e5
 //	fleetbench -scenario campaign -ecc hamming     # Hamming SEC-DED backend
-//	fleetbench -scenario uniform -ecc=false        # unprotected baseline
+//	fleetbench -scenario uniform -ecc none         # unprotected baseline
 //	fleetbench -scenario campaign -model stuck1 -repair verify+spare
 package main
 

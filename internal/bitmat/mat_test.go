@@ -222,6 +222,8 @@ func TestPanicTextUnchanged(t *testing.T) {
 		{"Mat.Col", func() { m.Col(4) }, "bitmat: column 4 out of range [0,4)"},
 		{"Vec.Set", func() { v.Set(5, true) }, "bitmat: index 5 out of range [0,5)"},
 		{"Vec.CopyFrom", func() { v.CopyFrom(NewVec(4)) }, "bitmat: length mismatch 5 vs 4"},
+		{"Vec.Uint64At", func() { v.Uint64At(2, 4) }, "bitmat: bad Uint64At(2,4) of 5"},
+		{"Vec.Uint64At width", func() { v.Uint64At(0, -1) }, "bitmat: bad Uint64At(0,-1) of 5"},
 	} {
 		func() {
 			defer func() {

@@ -292,13 +292,21 @@ func (v *Vec) Words() []uint64 { return v.w }
 // Uint64At returns the k (0 ≤ k ≤ 64) bits starting at offset lo, packed
 // into the low bits of the result — a window read that never allocates.
 func (v *Vec) Uint64At(lo, k int) uint64 {
-	if k < 0 || k > 64 || lo < 0 || lo+k > v.n {
-		panic(fmt.Sprintf("bitmat: bad Uint64At(%d,%d) of %d", lo, k, v.n))
+	if uint(k) > 64 || lo < 0 || lo+k > v.n {
+		panic(windowError{lo, k, v.n})
 	}
 	if k == 0 {
 		return 0
 	}
-	return extractBits(v.w, lo, k)
+	return extractBits(v.w, uint(lo), uint(k))
+}
+
+// windowError is a failed Uint64At check's panic value, formatted only
+// when read (see rangeError).
+type windowError struct{ lo, k, n int }
+
+func (e windowError) Error() string {
+	return fmt.Sprintf("bitmat: bad Uint64At(%d,%d) of %d", e.lo, e.k, e.n)
 }
 
 // SetUint64At writes the low k (0 ≤ k ≤ 64) bits of x into v starting at
@@ -332,15 +340,14 @@ func (v *Vec) MaskedMerge(a, mask *Vec) {
 	}
 }
 
-// extractBits returns the k (1..64) bits of src starting at bit lo, in the
-// low bits of the result. Bits past the end of src read as zero.
-func extractBits(src []uint64, lo, k int) uint64 {
-	wi, b := lo>>6, uint(lo&63)
-	w := src[wi] >> b
-	if b != 0 && int(b)+k > 64 && wi+1 < len(src) {
-		w |= src[wi+1] << (64 - b)
-	}
-	return w & maskLow(k)
+// extractBits returns the k (1..64) bits of src starting at bit lo, which
+// must lie within src, in the low bits of the result. It reads the words
+// holding the window's first and last bits; when they are one word, the
+// second read only fills bits at or above k (a shift by 64 is zero in Go),
+// which the mask clears, so there is no branch.
+func extractBits(src []uint64, lo, k uint) uint64 {
+	x := src[lo/64]>>(lo%64) | src[(lo+k-1)/64]<<(64-lo%64)
+	return x & (1<<k - 1)
 }
 
 // copyBits copies n bits from src starting at bit srcLo into dst starting
@@ -354,7 +361,7 @@ func copyBits(dst []uint64, dstLo int, src []uint64, srcLo, n int) {
 		if chunk > n {
 			chunk = n
 		}
-		b := extractBits(src, srcLo, chunk)
+		b := extractBits(src, uint(srcLo), uint(chunk))
 		m := maskLow(chunk) << uint(db)
 		dst[dw] = dst[dw]&^m | b<<uint(db)
 		dstLo += chunk

@@ -36,8 +36,7 @@ func RegisterGeometry(fs *flag.FlagSet, g *Geometry, def Geometry) {
 	fs.IntVar(&g.PerBank, "perbank", def.PerBank, "crossbars per bank")
 }
 
-// ECC is the -ecc flag: a scheme name or a bool-compatible value,
-// resolved after parsing.
+// ECC is the -ecc flag: a scheme name or "none", resolved after parsing.
 type ECC struct {
 	raw     string
 	Scheme  string // resolved scheme name ("" only before Resolve)
@@ -48,7 +47,7 @@ type ECC struct {
 func RegisterECC(fs *flag.FlagSet, e *ECC) {
 	fs.StringVar(&e.raw, "ecc", "diagonal",
 		"protection scheme: "+strings.Join(ecc.SchemeNames(), ", ")+
-			" (true = diagonal; false/none = unprotected baseline)")
+			", or none for the unprotected baseline")
 }
 
 // ResolveErr parses the raw -ecc value (call after fs.Parse).

@@ -30,8 +30,9 @@ func TestGeometryFlags(t *testing.T) {
 	}
 }
 
-// TestECCResolve: the -ecc flag accepts scheme names and bool-compatible
-// values, defaults to diagonal, and rejects unknown schemes.
+// TestECCResolve: the -ecc flag accepts scheme names and "none",
+// defaults to diagonal, and rejects unknown schemes and the retired
+// boolean spellings.
 func TestECCResolve(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -41,9 +42,9 @@ func TestECCResolve(t *testing.T) {
 	}{
 		{nil, "diagonal", true, false}, // default
 		{[]string{"-ecc", "hamming"}, "hamming", true, false},
-		{[]string{"-ecc", "false"}, "", false, false},
+		{[]string{"-ecc", "false"}, "", false, true},
 		{[]string{"-ecc", "none"}, "", false, false},
-		{[]string{"-ecc", "true"}, "diagonal", true, false},
+		{[]string{"-ecc", "true"}, "", false, true},
 		{[]string{"-ecc", "bogus"}, "", false, true},
 	}
 	for _, c := range cases {

@@ -1,35 +1,22 @@
 package ecc
 
-import "repro/internal/bitmat"
+import mathbits "math/bits"
 
-// This file implements the conventional alternative the paper's
-// introduction dismisses for PIM: a Hamming SEC code over horizontal
-// data words, the scheme used when "ECC can be implemented along data
-// transfer" in ordinary memories. It exists to make the comparison
-// quantitative:
+// The Hamming SEC-DED word code: the conventional horizontal code the
+// paper's introduction dismisses for PIM, the scheme used when "ECC can be
+// implemented along data transfer" in ordinary memories. Its correction
+// power per word (one error) matches the diagonal code's per block; its
+// update cost under stateful-logic parallelism does not (see word.go).
 //
-//   - Correction power per word is comparable to the diagonal code's
-//     per-block power (single-error correction).
-//   - But the update cost under stateful-logic parallelism is not: a
-//     column-parallel MAGIC operation changes one bit of *every* word it
-//     crosses, and each changed bit requires recomputing that word's
-//     check bits from all its data bits — Θ(w) work per word, Θ(n·w)
-//     overall — because Hamming check bits are not a per-bit delta code
-//     over the geometry MAGIC writes in.
-//
-// The diagonal code exists precisely to make every parallel write a
-// single-bit delta per check bit.
+// Data bit i sits at the i-th non-power-of-two Hamming index and flips the
+// SEC check bits named by that index; check bit nCheck is the overall
+// parity over the data AND the stored SEC bits (the DED extension). Folded
+// into the linear code, that parity is ⊕ᵢ dᵢ·(1 ⊕ |idxᵢ| mod 2), so data
+// bit i's column is idxᵢ plus parity bit nCheck when |idxᵢ| is even. A
+// single flipped data, SEC or parity bit is located and repaired; any
+// double is detected, and never "corrected" into silent corruption.
 
-// HammingCode protects each w-bit horizontal word of a matrix with
-// ⌈log2(w)⌉+1 check bits (SEC via syndrome, plus overall parity for a
-// distinct zero-vs-check-bit-error signature is omitted — plain SEC).
-type HammingCode struct {
-	W      int // data word width
-	nCheck int
-	check  [][]uint32 // [row][word] packed check bits
-}
-
-// hammingCheckBits returns the number of check bits for w data bits:
+// hammingCheckBits returns the number of SEC check bits for w data bits:
 // smallest r with 2^r ≥ w + r + 1.
 func hammingCheckBits(w int) int {
 	r := 1
@@ -37,37 +24,6 @@ func hammingCheckBits(w int) int {
 		r++
 	}
 	return r
-}
-
-// NewHammingCode builds the code state for mem with word width w (w must
-// divide the column count).
-func NewHammingCode(mem *bitmat.Mat, w int) *HammingCode {
-	if w <= 0 || mem.Cols()%w != 0 {
-		panic("ecc: hamming word width must divide the column count")
-	}
-	h := &HammingCode{W: w, nCheck: hammingCheckBits(w)}
-	words := mem.Cols() / w
-	h.check = make([][]uint32, mem.Rows())
-	for r := range h.check {
-		h.check[r] = make([]uint32, words)
-		for g := 0; g < words; g++ {
-			h.check[r][g] = h.encode(mem, r, g)
-		}
-	}
-	return h
-}
-
-// encode computes the check bits of word g in row r: check bit j is the
-// parity of data positions whose (1-based, check-position-skipping)
-// Hamming index has bit j set.
-func (h *HammingCode) encode(mem *bitmat.Mat, r, g int) uint32 {
-	var c uint32
-	for i := 0; i < h.W; i++ {
-		if mem.Get(r, g*h.W+i) {
-			c ^= uint32(hammingIndex(i))
-		}
-	}
-	return c
 }
 
 // hammingIndex maps data-bit position i (0-based) to its codeword index:
@@ -98,58 +54,50 @@ func dataPosOf(idx int) int {
 	return pos
 }
 
-// Syndrome returns the syndrome of word g in row r (0 = clean, assuming
-// check bits themselves are intact).
-func (h *HammingCode) Syndrome(mem *bitmat.Mat, r, g int) uint32 {
-	return h.check[r][g] ^ h.encode(mem, r, g)
-}
-
-// CorrectWord repairs a single data-bit error in word g of row r,
-// returning whether a correction was applied.
-func (h *HammingCode) CorrectWord(mem *bitmat.Mat, r, g int) bool {
-	s := h.Syndrome(mem, r, g)
-	if s == 0 {
-		return false
+// hammingCode builds the SEC-DED columns for data width m.
+func hammingCode(m int) *wordCode {
+	n := hammingCheckBits(m)
+	c := &wordCode{checks: n + 1, reads: m, ref: hammingRef}
+	for i := 0; i < m; i++ {
+		idx := uint16(hammingIndex(i))
+		c.cols = append(c.cols, idx|(1^uint16(mathbits.OnesCount16(idx))&1)<<uint(n))
 	}
-	if pos := dataPosOf(int(s)); pos >= 0 && pos < h.W {
-		mem.Flip(r, g*h.W+pos)
-		return true
-	}
-	// Syndrome points at a check position: the stored check bits erred.
-	h.check[r][g] = h.encode(mem, r, g)
-	return true
+	return c
 }
 
-// UpdateWrite brings the check bits of the word containing (r,c) up to
-// date after that single bit changed. Θ(1): XOR the bit's column pattern.
-func (h *HammingCode) UpdateWrite(r, c int) {
-	g := c / h.W
-	h.check[r][g] ^= uint32(hammingIndex(c % h.W))
-}
-
-// ColParallelUpdateCost returns the number of data-bit reads a Hamming
-// update needs after a column-parallel MAGIC operation across nRows rows
-// — the quantity that disqualifies horizontal codes for PIM. Each
-// affected row needs only its changed bit's pattern XORed (Θ(1)) *if the
-// old value is known*; but MAGIC overwrites in place, so without a prior
-// read the word must be re-encoded from all W bits: W reads per row.
-func (h *HammingCode) ColParallelUpdateCost(nRows int) int {
-	return nRows * h.W
-}
-
-// Verify reports whether all stored check bits match mem.
-func (h *HammingCode) Verify(mem *bitmat.Mat) bool {
-	for r := range h.check {
-		for g := range h.check[r] {
-			if h.Syndrome(mem, r, g) != 0 {
-				return false
-			}
+// hammingRef re-derives the word's diagnosis bit-serially: each SEC check
+// bit j is recomputed as the parity of the data positions whose Hamming
+// index has bit j set, the overall parity counts data and stored SEC bits
+// one at a time, and the classification is written out from the SEC-DED
+// definition rather than looked up.
+func hammingRef(c *wordCode, bit func(int) bool, stored uint16, lr int) []Diagnosis {
+	n := c.checks - 1
+	syn := stored &^ (1 << uint(n))
+	ones := mathbits.OnesCount16(syn)
+	for i := 0; i < c.m; i++ {
+		if bit(i) {
+			syn ^= uint16(hammingIndex(i))
+			ones++
 		}
 	}
-	return true
-}
-
-// CheckOverheadBits returns the storage overhead in check bits per row.
-func (h *HammingCode) CheckOverheadBits(cols int) int {
-	return (cols / h.W) * h.nCheck
+	parMismatch := (ones&1 != 0) != (stored>>uint(n)&1 != 0)
+	checkErr := func(j int) []Diagnosis {
+		return []Diagnosis{{Kind: CheckError, LR: lr, Diag: lr*c.checks + j}}
+	}
+	switch {
+	case syn == 0 && !parMismatch:
+		return nil
+	case syn == 0: // the overall parity bit itself erred
+		return checkErr(n)
+	case !parMismatch: // non-zero syndrome, even parity: a double
+		return []Diagnosis{{Kind: Uncorrectable, LR: lr}}
+	}
+	if pos := dataPosOf(int(syn)); pos >= 0 && pos < c.m {
+		return []Diagnosis{{Kind: DataError, LR: lr, LC: pos}}
+	}
+	if syn&(syn-1) == 0 && int(syn) < 1<<uint(n) { // a stored SEC bit erred
+		return checkErr(mathbits.TrailingZeros16(syn))
+	}
+	// Odd parity but the syndrome points nowhere valid: ≥3 errors.
+	return []Diagnosis{{Kind: Uncorrectable, LR: lr}}
 }

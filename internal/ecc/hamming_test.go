@@ -29,26 +29,42 @@ func TestHammingIndexInverse(t *testing.T) {
 	}
 }
 
+// cleanBlocks reports whether every block of s checks clean against mem.
+func cleanBlocks(s Scheme, mem *bitmat.Mat) bool {
+	p := s.Params()
+	for br := 0; br < p.BlocksPerSide(); br++ {
+		for bc := 0; bc < p.BlocksPerSide(); bc++ {
+			if len(s.CheckBlock(mem, br, bc)) != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestHammingBuildVerify(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	mem := bitmat.NewMat(8, 32)
-	mem.Randomize(rng)
-	h := NewHammingCode(mem, 8)
-	if !h.Verify(mem) {
+	p := Params{N: 32, M: 8}
+	mem := randomMemory(1, p)
+	if !cleanBlocks(buildScheme(t, SchemeHamming, p, mem), mem) {
 		t.Fatal("fresh code does not verify")
 	}
 }
 
 func TestHammingSingleErrorCorrection(t *testing.T) {
+	p := Params{N: 48, M: 8}
+	spec, err := SchemeByName(SchemeHamming)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		mem := bitmat.NewMat(6, 48)
-		mem.Randomize(rng)
-		h := NewHammingCode(mem, 8)
+		mem := randomMemory(seed, p)
+		h := spec.New(p, mem)
 		want := mem.Clone()
-		r, c := rng.Intn(6), rng.Intn(48)
+		r, c := rng.Intn(p.N), rng.Intn(p.N)
 		mem.Flip(r, c)
-		if !h.CorrectWord(mem, r, c/8) {
+		ds := h.CorrectBlock(mem, r/p.M, c/p.M)
+		if len(ds) != 1 || ds[0].Kind != DataError {
 			return false
 		}
 		return mem.Equal(want)
@@ -59,16 +75,16 @@ func TestHammingSingleErrorCorrection(t *testing.T) {
 }
 
 func TestHammingUpdateWriteDelta(t *testing.T) {
+	p := Params{N: 64, M: 16}
 	rng := rand.New(rand.NewSource(2))
-	mem := bitmat.NewMat(4, 64)
-	mem.Randomize(rng)
-	h := NewHammingCode(mem, 16)
+	mem := randomMemory(2, p)
+	h := buildScheme(t, SchemeHamming, p, mem)
 	for i := 0; i < 200; i++ {
-		r, c := rng.Intn(4), rng.Intn(64)
+		r, c := rng.Intn(p.N), rng.Intn(p.N)
+		h.UpdateWrite(r, c, mem.Get(r, c), !mem.Get(r, c))
 		mem.Flip(r, c)
-		h.UpdateWrite(r, c)
 	}
-	if !h.Verify(mem) {
+	if !cleanBlocks(h, mem) {
 		t.Fatal("delta updates diverged from memory")
 	}
 }
@@ -79,30 +95,33 @@ func TestHammingUpdateWriteDelta(t *testing.T) {
 // bits, while the diagonal scheme needs exactly one delta per check bit.
 func TestHammingVsDiagonalUpdateCost(t *testing.T) {
 	const n, w = 1020, 64
-	mem := bitmat.NewMat(4, w) // only used to size the code
-	h := NewHammingCode(mem, w)
-	hammingCost := h.ColParallelUpdateCost(n)
+	h := buildScheme(t, SchemeHamming, Params{N: 1024, M: w}, nil)
+	hammingCost := h.LineUpdateReads(n)
 	if hammingCost != n*w {
 		t.Fatalf("hamming col-parallel cost = %d, want %d", hammingCost, n*w)
 	}
-	d := DiagonalTouchProfile(n)
-	if d.MaxPerCheck != 1 {
+	p := PaperParams()
+	cells := make([][2]int, n)
+	for c := range cells {
+		cells[c] = [2]int{5, c}
+	}
+	if d := MeasureDiagonalTouch(p, cells); d.MaxPerCheck != 1 {
 		t.Fatal("diagonal cost should be one delta per check bit")
 	}
 	// The diagonal scheme's total work is one delta per touched check bit
 	// (2n deltas); Hamming needs w/2× more than that.
-	if hammingCost <= 10*2*n {
-		t.Fatalf("hamming cost %d not clearly worse than 2n=%d diagonal deltas", hammingCost, 2*n)
+	diagonalCost := buildScheme(t, SchemeDiagonal, p, nil).LineUpdateReads(n)
+	if hammingCost <= 10*diagonalCost {
+		t.Fatalf("hamming cost %d not clearly worse than 2n=%d diagonal deltas", hammingCost, diagonalCost)
 	}
 }
 
 func TestHammingStorageOverheadComparable(t *testing.T) {
-	// Fairness check for the comparison: at w=64 the Hamming overhead
-	// (7/64 ≈ 11%) is in the same class as the diagonal code's 2/m
-	// (13.3% at m=15) — the difference is update cost, not storage.
-	mem := bitmat.NewMat(1, 1024)
-	h := NewHammingCode(mem, 64)
-	hammingOvh := float64(h.CheckOverheadBits(1024)) / 1024
+	// Fairness check for the comparison: at w=64 the Hamming SEC-DED
+	// overhead (8/64 = 12.5%) is in the same class as the diagonal code's
+	// 2/m (13.3% at m=15) — the difference is update cost, not storage.
+	p := Params{N: 1024, M: 64}
+	hammingOvh := float64(buildScheme(t, SchemeHamming, p, nil).OverheadBits()) / float64(p.N*p.N)
 	diagOvh := PaperParams().Overhead()
 	if hammingOvh > 2*diagOvh || diagOvh > 2*hammingOvh {
 		t.Fatalf("storage overheads not comparable: hamming %.3f vs diagonal %.3f",
@@ -111,15 +130,14 @@ func TestHammingStorageOverheadComparable(t *testing.T) {
 }
 
 func TestHammingCheckBitErrorRepaired(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	mem := bitmat.NewMat(2, 16)
-	mem.Randomize(rng)
-	h := NewHammingCode(mem, 16)
-	h.check[0][0] ^= 0b100 // flip a stored check bit (power-of-two index)
-	if !h.CorrectWord(mem, 0, 0) {
-		t.Fatal("check-bit error not noticed")
+	p := Params{N: 16, M: 16}
+	mem := randomMemory(3, p)
+	h := buildScheme(t, SchemeHamming, p, mem)
+	h.(*wordScheme).check[0] ^= 0b100 // flip a stored check bit (power-of-two index)
+	if ds := h.CorrectBlock(mem, 0, 0); len(ds) != 1 || ds[0].Kind != CheckError {
+		t.Fatalf("check-bit error diagnosed %v", ds)
 	}
-	if !h.Verify(mem) {
+	if !h.Equal(buildScheme(t, SchemeHamming, p, mem)) {
 		t.Fatal("check-bit error not repaired")
 	}
 }
@@ -130,5 +148,6 @@ func TestHammingBadWidthPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewHammingCode(bitmat.NewMat(2, 10), 4)
+	spec, _ := SchemeByName(SchemeHamming)
+	spec.New(Params{N: 10, M: 4}, nil)
 }

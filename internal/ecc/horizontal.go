@@ -1,44 +1,10 @@
 package ecc
 
-import "repro/internal/bitmat"
-
-// This file implements the strawman the paper rejects in Section III /
-// Fig 2(a): parity check-bits computed over horizontal groups of data
-// bits. It exists so the update-cost asymmetry — the reason the diagonal
-// placement was invented — can be demonstrated and tested quantitatively.
-
-// HorizontalCode keeps one parity bit per horizontal group of W data bits
-// per row. Group g of row r covers columns [g·W, (g+1)·W).
-type HorizontalCode struct {
-	N, W  int
-	check *bitmat.Mat // rows × (N/W) parity bits
-}
-
-// NewHorizontalCode builds the horizontal parity state for mem with group
-// width w (w must divide the column count).
-func NewHorizontalCode(mem *bitmat.Mat, w int) *HorizontalCode {
-	if w <= 0 || mem.Cols()%w != 0 {
-		panic("ecc: horizontal group width must divide the column count")
-	}
-	h := &HorizontalCode{N: mem.Cols(), W: w, check: bitmat.NewMat(mem.Rows(), mem.Cols()/w)}
-	for r := 0; r < mem.Rows(); r++ {
-		r := r
-		mem.Row(r).ForEachOne(func(c int) { h.check.Flip(r, c/w) })
-	}
-	return h
-}
-
-// Verify reports whether every group parity matches mem.
-func (h *HorizontalCode) Verify(mem *bitmat.Mat) bool {
-	for r := 0; r < mem.Rows(); r++ {
-		got := bitmat.NewVec(h.check.Cols())
-		mem.Row(r).ForEachOne(func(c int) { got.Flip(c / h.W) })
-		if !got.Equal(h.check.Row(r)) {
-			return false
-		}
-	}
-	return true
-}
+// This file profiles the strawman the paper rejects in Section III /
+// Fig 2(a) — check bits computed over horizontal groups of data bits (the
+// parity and hamming word codes) — against the diagonal placement, so the
+// update-cost asymmetry the diagonal code was invented for can be
+// demonstrated and tested quantitatively.
 
 // TouchProfile describes how a parallel write maps onto a code's check
 // bits: for each affected check bit, how many of its covered data bits
@@ -63,14 +29,6 @@ func HorizontalTouchRowOp(nRows int) TouchProfile {
 // mode shown in Fig 2(a).
 func HorizontalTouchColOp(nCols, w int) TouchProfile {
 	return TouchProfile{ChecksTouched: nCols / w, MaxPerCheck: w}
-}
-
-// DiagonalTouchProfile profiles any single row- or column-parallel
-// operation under the diagonal code: a parallel op writes at most one cell
-// per row and per column, hence at most one cell per wrap-around diagonal,
-// hence at most one changed data bit per check bit — always.
-func DiagonalTouchProfile(cellsWritten int) TouchProfile {
-	return TouchProfile{ChecksTouched: 2 * cellsWritten, MaxPerCheck: 1}
 }
 
 // MeasureDiagonalTouch empirically computes the touch profile of an

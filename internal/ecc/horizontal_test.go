@@ -4,21 +4,19 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/bitmat"
 )
 
+// The horizontal-group parity strawman is the parity word code.
 func TestHorizontalCodeBuildVerify(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	mem := bitmat.NewMat(16, 32)
-	mem.Randomize(rng)
-	h := NewHorizontalCode(mem, 8)
-	if !h.Verify(mem) {
+	p := Params{N: 32, M: 8}
+	mem := randomMemory(1, p)
+	h := buildScheme(t, SchemeParity, p, mem)
+	if !cleanBlocks(h, mem) {
 		t.Fatal("freshly built horizontal code does not verify")
 	}
 	mem.Flip(3, 17)
-	if h.Verify(mem) {
-		t.Fatal("horizontal code missed a flip")
+	if ds := h.CheckBlock(mem, 0, 2); len(ds) != 1 || ds[0] != (Diagnosis{Kind: Uncorrectable, LR: 3}) {
+		t.Fatalf("horizontal code missed a flip: %v", ds)
 	}
 }
 
@@ -28,7 +26,8 @@ func TestHorizontalCodeBadWidthPanics(t *testing.T) {
 			t.Fatal("expected panic for non-dividing width")
 		}
 	}()
-	NewHorizontalCode(bitmat.NewMat(4, 10), 3)
+	spec, _ := SchemeByName(SchemeParity)
+	spec.New(Params{N: 10, M: 3}, nil)
 }
 
 func TestHorizontalVsDiagonalUpdateCost(t *testing.T) {
@@ -44,8 +43,11 @@ func TestHorizontalVsDiagonalUpdateCost(t *testing.T) {
 	if hCol.MaxPerCheck != w {
 		t.Fatalf("horizontal col-op MaxPerCheck = %d, want %d (the Θ(n) failure)", hCol.MaxPerCheck, w)
 	}
-	d := DiagonalTouchProfile(n)
-	if d.MaxPerCheck != 1 {
+	cells := make([][2]int, n)
+	for c := range cells {
+		cells[c] = [2]int{9, c}
+	}
+	if d := MeasureDiagonalTouch(PaperParams(), cells); d.MaxPerCheck != 1 {
 		t.Fatalf("diagonal MaxPerCheck = %d, want 1", d.MaxPerCheck)
 	}
 }

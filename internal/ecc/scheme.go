@@ -25,11 +25,12 @@ package ecc
 //     It is the production path of the diagonal code; the gate-level CMEM
 //     (internal/cmem) computes the same math cycle by cycle and is pinned
 //     to this adapter by a differential test.
-//   - "hamming": horizontal Hamming SEC-DED over M-bit words, promoted
-//     from the bench-only strawman in hamming.go to a full scrubbing and
-//     correcting backend.
-//   - "parity": one parity bit per M-bit word — the cheap detect-only
-//     baseline.
+//   - "hamming", "parity", "dec": horizontal word codes — Hamming
+//     SEC-DED, one detect-only parity bit, and a double-correcting BCH
+//     code per M-bit word — all run by the one linear word backend of
+//     word.go, each supplying only its parity-check columns.
+//   - "diagonal-x<K>": K diagonal codes interleaved across the columns
+//     (interleaved.go).
 
 import (
 	"fmt"
@@ -164,24 +165,12 @@ var schemes = map[string]SchemeSpec{
 		New:      newDiagonalScheme,
 		Corrects: 1, Detects: 2,
 	},
-	SchemeHamming: {
-		Name:     SchemeHamming,
-		Validate: validateWordGeometry,
-		New:      newHammingScheme,
-		Corrects: 1, Detects: 2,
-	},
-	SchemeParity: {
-		Name:     SchemeParity,
-		Validate: validateParityGeometry,
-		New:      newParityScheme,
-		Corrects: 0, Detects: 1,
-	},
-	SchemeDEC: {
-		Name:     SchemeDEC,
-		Validate: validateDECGeometry,
-		New:      newDECScheme,
-		Corrects: 2, Detects: 3,
-	},
+	SchemeHamming: wordSpec(SchemeHamming, 1, 2,
+		func(p Params) error { return validateWords(p, 2, 64, "") }, hammingCode),
+	SchemeParity: wordSpec(SchemeParity, 0, 1,
+		func(p Params) error { return validateWords(p, 1, 0, "") }, parityCode),
+	SchemeDEC: wordSpec(SchemeDEC, 2, 3,
+		func(p Params) error { return validateWords(p, 2, 21, " for shortened BCH(31,21)") }, decCode),
 	interleavedPrefix + "2": interleavedSpec(2),
 	interleavedPrefix + "4": interleavedSpec(4),
 }
@@ -249,23 +238,10 @@ func parseInterleavedName(name string) (k int, ok bool) {
 	return k, true
 }
 
-// ParseSchemeFlag resolves a CLI -ecc flag value into (scheme, enabled).
-// The historical boolean *values* keep working — true/t/1/TRUE/… select
-// the default diagonal code, false/f/0/FALSE/… the unprotected baseline,
-// plus "on"/"off"/"none" — and any other value must name a registered
-// scheme. (The bare `-ecc` form of the old boolean flag is gone: a
-// string flag must be `-ecc=VALUE` or `-ecc VALUE`.)
+// ParseSchemeFlag resolves a CLI -ecc flag value into (scheme, enabled):
+// a registered scheme name, or "none" for the unprotected baseline.
 func ParseSchemeFlag(v string) (name string, enabled bool, err error) {
-	switch v {
-	case "", "on":
-		return SchemeDiagonal, true, nil
-	case "none", "off":
-		return "", false, nil
-	}
-	if b, perr := strconv.ParseBool(v); perr == nil {
-		if b {
-			return SchemeDiagonal, true, nil
-		}
+	if v == "none" {
 		return "", false, nil
 	}
 	if _, err := SchemeByName(v); err != nil {

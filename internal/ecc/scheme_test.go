@@ -76,8 +76,8 @@ func TestSchemeRegistry(t *testing.T) {
 	}
 }
 
-// TestParseSchemeFlag: the CLI flag keeps its boolean spellings and
-// resolves registered names.
+// TestParseSchemeFlag: the CLI flag takes a registered name or "none";
+// the retired boolean and on/off spellings are errors.
 func TestParseSchemeFlag(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -85,11 +85,11 @@ func TestParseSchemeFlag(t *testing.T) {
 		enabled bool
 		wantErr bool
 	}{
-		{"", SchemeDiagonal, true, false},
-		{"true", SchemeDiagonal, true, false},
-		{"t", SchemeDiagonal, true, false},
-		{"1", SchemeDiagonal, true, false},
-		{"TRUE", SchemeDiagonal, true, false},
+		{"", "", false, true},
+		{"true", "", false, true},
+		{"t", "", false, true},
+		{"1", "", false, true},
+		{"TRUE", "", false, true},
 		{"diagonal", SchemeDiagonal, true, false},
 		{"hamming", SchemeHamming, true, false},
 		{"parity", SchemeParity, true, false},
@@ -97,12 +97,13 @@ func TestParseSchemeFlag(t *testing.T) {
 		{"diagonal-x4", "diagonal-x4", true, false},
 		{"diagonal-x8", "diagonal-x8", true, false},
 		{"diagonal-x1", "", false, true},
-		{"false", "", false, false},
-		{"f", "", false, false},
-		{"0", "", false, false},
-		{"FALSE", "", false, false},
+		{"false", "", false, true},
+		{"f", "", false, true},
+		{"0", "", false, true},
+		{"FALSE", "", false, true},
 		{"none", "", false, false},
-		{"off", "", false, false},
+		{"off", "", false, true},
+		{"on", "", false, true},
 		{"bogus", "", false, true},
 	}
 	for _, c := range cases {
@@ -267,11 +268,11 @@ func TestHammingDoubleFlipDetected(t *testing.T) {
 func TestHammingCheckBitErrors(t *testing.T) {
 	p := Params{N: 45, M: 15}
 	mem := randomMemory(9, p)
-	h := buildScheme(t, SchemeHamming, p, mem).(*hammingScheme)
+	h := buildScheme(t, SchemeHamming, p, mem).(*wordScheme)
 	clean := h.Clone()
 
 	// SEC check bit 2 of word 1 in row 20.
-	h.check[20][1] ^= 1 << 2
+	h.check[20*h.words+1] ^= 1 << 2
 	ds := h.CorrectBlock(mem, 20/p.M, 1)
 	if len(ds) != 1 || ds[0].Kind != CheckError {
 		t.Fatalf("check-bit flip: diagnoses %v", ds)
@@ -280,8 +281,8 @@ func TestHammingCheckBitErrors(t *testing.T) {
 		t.Fatal("check-bit flip not repaired")
 	}
 
-	// Overall parity bit of word 2 in row 5.
-	h.par.Flip(5, 2)
+	// Overall parity bit (the last check bit) of word 2 in row 5.
+	h.check[5*h.words+2] ^= 1 << uint(h.code.checks-1)
 	ds = h.CorrectBlock(mem, 5/p.M, 2)
 	if len(ds) != 1 || ds[0].Kind != CheckError {
 		t.Fatalf("parity-bit flip: diagnoses %v", ds)

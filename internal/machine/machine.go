@@ -360,13 +360,10 @@ func (m *Machine) Stats() Stats {
 // repair off the error is always nil.
 func (m *Machine) LoadRow(r int, v *bitmat.Vec) error {
 	if m.rt != nil {
-		// Pre-write metadata sync: the delta fold below cancels the OLD
-		// row's contribution as read from the array, so any cell where
-		// the stored checks disagree with the physical state (a defect
-		// scrub corrected and the device re-asserted) would fold a
-		// phantom delta and leave the checks stale. Sync them to the
-		// physical row first; write-verify governs this row from here.
-		m.syncRowChecks(r)
+		// Pre-write metadata sync to the physical row, so the delta
+		// fold below cancels a state the checks actually describe;
+		// write-verify governs this row from here.
+		m.syncChecks(r, nil)
 	}
 	m.oldBuf.CopyFrom(m.mem.Mat().Row(r))
 	m.mem.WriteRow(r, v)

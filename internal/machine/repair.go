@@ -138,7 +138,7 @@ func (m *Machine) logRepair(k RepairKind, r, c int, stuck bool) {
 // row verified (possibly after retirement healed it).
 func (m *Machine) verifyRow(r int, want *bitmat.Vec) error {
 	err := m.verifyData(r, want)
-	m.verifyChecks(r, want)
+	m.syncChecks(r, want)
 	return err
 }
 
@@ -189,43 +189,51 @@ func (m *Machine) verifyData(r int, want *bitmat.Vec) error {
 	return &VerifyError{Row: r, Cols: append([]int(nil), remaining...)}
 }
 
-// verifyChecks is the metadata half of write-verify: the delta-update
-// protocol computes each write's check-bit delta from the PHYSICAL old
-// row, so a cell whose stored value had diverged from the value the check
-// bits encode (a stuck cell the scrub corrected, a flip landing between
-// writes) poisons the fold. When the new data then happens to match the
-// defect — writing the stuck value — the data read-back is clean but the
-// checks are left encoding the stale logical image, and the next scrub
-// would "correct" verified-good data. The sweep decodes the written row's
-// covering blocks and, for any data diagnosis pointing INTO this row at a
-// cell the read-back just proved correct, patches the stored check bits
-// with a one-hot delta: within the written row, verified data outranks
-// metadata. Diagnoses pointing at other rows are real errors and stay for
-// the scrub.
-func (m *Machine) verifyChecks(r int, want *bitmat.Vec) {
+// syncChecks is the repair layer's metadata sweep over row r: it decodes
+// the row's covering blocks and, for each diagnosis pointing INTO this
+// row, re-synchronizes the stored check bits with the data — re-encoding
+// a word unit that lies entirely inside a verified segment of the row
+// (RebuildRowWords), otherwise patching a data diagnosis at a verified
+// cell with a one-hot delta. Diagnoses pointing at other rows are real
+// errors and stay for the scrub, and CheckBlock only diagnoses: scrub
+// corrections must stay scrub's, visible in its findings. It runs twice
+// around a commit:
+//
+//   - Before the write (want == nil: the physical row is the intent, so
+//     every segment and cell counts as verified). The delta fold cancels
+//     the OLD row's contribution as read from the array, so any cell
+//     where the stored checks disagree with the physical state (a defect
+//     the scrub corrected and the device re-asserted) would fold a
+//     phantom delta; syncing first makes the delta exact. The row's own
+//     cells are about to be overwritten and then read back by
+//     write-verify, which outranks a stale parity vote.
+//   - After the write, as the metadata half of write-verify (want = the
+//     intended row). The delta protocol computes each write's check-bit
+//     delta from the PHYSICAL old row, so a cell whose stored value had
+//     diverged from the value the check bits encode poisons the fold;
+//     when the new data then happens to match the defect — writing the
+//     stuck value — the read-back is clean but the checks encode the
+//     stale logical image, and the next scrub would "correct"
+//     verified-good data. Within the written row, verified data outranks
+//     metadata; an unverified segment (a reported, unretired defect) is
+//     left alone, so its mismatch stays visible.
+func (m *Machine) syncChecks(r int, want *bitmat.Vec) {
 	if !m.Protected() {
 		return
 	}
 	mm := m.cfg.M
 	for bc := 0; bc < m.cfg.N/mm; bc++ {
-		// CheckBlock only diagnoses: scrub corrections must stay scrub's,
-		// visible in its findings.
 		for _, d := range m.sch.CheckBlock(m.mem.Mat(), r/mm, bc) {
 			if d.LR != r%mm {
 				continue
 			}
-			// Word-based codes: the unit sits entirely inside the verified
-			// row, so if every data bit it covers read back as intended the
-			// stored bits are what's wrong — re-encode the one word. An
-			// unverified segment (a reported, unretired defect) is left
-			// alone: its mismatch must stay visible.
 			if m.rowSegmentVerified(r, bc, want) && m.sch.RebuildRowWords(m.mem.Mat(), r, bc) {
 				break
 			}
 			if d.Kind != ecc.DataError {
 				continue
 			}
-			if c := bc*mm + d.LC; m.mem.Get(r, c) == want.Get(c) {
+			if c := bc*mm + d.LC; want == nil || m.mem.Get(r, c) == want.Get(c) {
 				m.clearStaleSyndrome(r, c)
 			}
 		}
@@ -233,8 +241,12 @@ func (m *Machine) verifyChecks(r int, want *bitmat.Vec) {
 }
 
 // rowSegmentVerified reports whether row r's data across block column bc
-// matches the intent the read-back verified against.
+// matches the intent the read-back verified against (always, for a nil
+// want).
 func (m *Machine) rowSegmentVerified(r, bc int, want *bitmat.Vec) bool {
+	if want == nil {
+		return true
+	}
 	for c := bc * m.cfg.M; c < (bc+1)*m.cfg.M; c++ {
 		if m.mem.Get(r, c) != want.Get(c) {
 			return false
@@ -291,39 +303,6 @@ func (m *Machine) retireCell(r, c int, want, stuckVal bool) bool {
 	m.tel.Events.Emit(telemetry.EvCellRetired, cycles, m.tel.Bank, m.tel.Xbar, int64(r), int64(c))
 	m.logRepair(RepairRetired, r, c, stuckVal)
 	return true
-}
-
-// syncRowChecks is the pre-write metadata sync: before the delta fold
-// reads the physical old row, any single-cell disagreement between the
-// stored checks and THIS row's physical state is folded into the metadata,
-// so the commit's "cancel the old effect" term is computed from a state
-// the checks actually describe — no phantom delta, no laundering. The
-// scrub loses nothing it owns: diagnoses pointing at other rows are left
-// alone, and the row's own cells are about to be overwritten and then
-// read back by write-verify, which outranks a stale parity vote.
-func (m *Machine) syncRowChecks(r int) {
-	if !m.Protected() {
-		return
-	}
-	mm := m.cfg.M
-	for bc := 0; bc < m.cfg.N/mm; bc++ {
-		for _, d := range m.sch.CheckBlock(m.mem.Mat(), r/mm, bc) {
-			if d.LR != r%mm {
-				continue
-			}
-			// Word-based codes: the mismatching unit lies entirely inside
-			// the row being overwritten — re-encode it from the physical
-			// image (detect-only parity included; no localization needed).
-			if m.sch.RebuildRowWords(m.mem.Mat(), r, bc) {
-				break
-			}
-			// Diagonal code: only a localized single data error pointing
-			// into this row can be synced; anything else is left for scrub.
-			if d.Kind == ecc.DataError {
-				m.clearStaleSyndrome(r, bc*mm+d.LC)
-			}
-		}
-	}
 }
 
 // noteScrubRepair is the scrub-triggered retirement hook, called for

@@ -467,29 +467,12 @@ func (m *Memory) ScrubAll() (corrected, uncorrectable int) {
 	return corrected, uncorrectable
 }
 
-// InjectWindow exposes one crossbar to the injector's soft-error stream
-// for `hours`, under the bank lock, and returns the number of flips — the
-// fault-overlay primitive of the serving layer.
-func (m *Memory) InjectWindow(bank, xb int, inj *faults.Injector, hours float64) int {
-	m.banks[bank].Lock()
-	defer m.banks[bank].Unlock()
-	mach := m.at(bank, xb)
-	flips := len(inj.Inject(mach.MEM(), hours))
-	if flips > 0 {
-		m.probe(bank).injected.Add(int64(flips))
-		m.ring.Emit(telemetry.EvInject, int64(mach.MEM().Stats().Cycles),
-			bank, xb, int64(flips), 0)
-	}
-	return flips
-}
-
 // InjectModel exposes one crossbar to a fault model for `hours` under the
-// bank lock — the model-based generalization of InjectWindow. Transient
-// models flip bits exactly as the Injector-based overlay does (identical
-// rng stream given the same seed); stuck-at models additionally land in
-// the crossbar's defect set, so the cells re-assert on every write and the
-// repair layer can observe and retire them. Returns the number of
-// affected cells.
+// bank lock, drawing from rng — the fault-overlay primitive of the serving
+// layer. Transient models flip bits exactly as a faults.Injector with the
+// same seed does; stuck-at models additionally land in the crossbar's
+// defect set, so the cells re-assert on every write and the repair layer
+// can observe and retire them. Returns the number of affected cells.
 func (m *Memory) InjectModel(bank, xb int, model faults.Model, rng *rand.Rand, hours float64) int {
 	m.banks[bank].Lock()
 	defer m.banks[bank].Unlock()
@@ -519,10 +502,10 @@ type CampaignResult struct {
 // periodic scrub runs. verify (from LoadPattern) is used to confirm data
 // integrity afterwards.
 func (m *Memory) RunWindow(ser, hours float64, seed int64, verify func() int64) CampaignResult {
-	inj := faults.NewInjector(ser, seed)
+	rng := rand.New(rand.NewSource(seed))
 	injected := 0
 	m.cfg.Org.ForEachCrossbar(func(bank, xb int) {
-		injected += m.InjectWindow(bank, xb, inj, hours)
+		injected += m.InjectModel(bank, xb, faults.Transient{SER: ser}, rng, hours)
 	})
 	corrected, unc := m.ScrubAll()
 	res := CampaignResult{

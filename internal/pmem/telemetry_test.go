@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/faults"
@@ -34,8 +35,7 @@ func TestInstrumentCountsPerBank(t *testing.T) {
 	if c != 0 || u != 0 {
 		t.Fatalf("clean scrub found c=%d u=%d", c, u)
 	}
-	inj := faults.NewInjector(1e9, 7)
-	flips := mem.InjectWindow(1, 0, inj, 1)
+	flips := mem.InjectModel(1, 0, faults.Transient{SER: 1e9}, rand.New(rand.NewSource(7)), 1)
 
 	snap := reg.Snapshot()
 	checks := []struct {

@@ -119,11 +119,11 @@ type ReplayConfig struct {
 	// currency the clock advances by. 0 — the default — is pure FIFO,
 	// byte-identical to pre-admission replays.
 	ComputeAdmit int64
-	// FaultModel selects the overlay's fault model (faults.ModelByName).
-	// Empty keeps the historical transient-flip stream byte-identical;
-	// stuck-at models land in each crossbar's defect set, so the defects
-	// re-assert against live traffic and the repair layer (the memory's
-	// pmem/machine Repair config) can observe and retire them online.
+	// FaultModel selects the overlay's fault model (faults.ModelByName;
+	// empty = faults.Transient at FaultSER). Stuck-at models land in each
+	// crossbar's defect set, so the defects re-assert against live
+	// traffic and the repair layer (the memory's pmem/machine Repair
+	// config) can observe and retire them online.
 	FaultModel string
 	// Seed derives the per-crossbar fault streams.
 	Seed int64
@@ -192,7 +192,7 @@ func Replay(cfg ReplayConfig, tr *Trace) (Result, error) {
 		cfg.BatchSize = 32
 	}
 	closed := tr.Mode == "closed"
-	var model faults.Model
+	var model faults.Model = faults.Transient{SER: cfg.FaultSER}
 	if cfg.FaultSER > 0 && cfg.FaultModel != "" {
 		var err error
 		if model, err = faults.ModelByName(cfg.FaultModel, cfg.FaultSER); err != nil {
@@ -336,34 +336,21 @@ func replayWorker(cfg ReplayConfig, model faults.Model, banks []int, tr *Trace, 
 	return clock, c.scrubs
 }
 
-// faultOverlay returns the replay's pre-scrub fault injection: a
-// soft-error window (or, with a fault model, a model draw) of FaultHours
-// exposure over the crossbar about to be scrubbed, from a per-crossbar
-// stream derived from Seed.
+// faultOverlay returns the replay's pre-scrub fault injection: a draw of
+// the fault model over FaultHours of exposure of the crossbar about to be
+// scrubbed, from a per-crossbar stream derived from Seed.
 func faultOverlay(cfg ReplayConfig, model faults.Model) func(bank, xb int) int {
 	hours := cfg.FaultHours
 	if hours <= 0 {
 		hours = 1
 	}
-	seed := func(bank, xb int) int64 { return faults.DeriveSeed(cfg.Seed^0x5e7e, bank, xb) }
-	if model != nil {
-		rngs := make(map[[2]int]*rand.Rand)
-		return func(bank, xb int) int {
-			rng := rngs[[2]int{bank, xb}]
-			if rng == nil {
-				rng = rand.New(rand.NewSource(seed(bank, xb)))
-				rngs[[2]int{bank, xb}] = rng
-			}
-			return cfg.Mem.InjectModel(bank, xb, model, rng, hours)
-		}
-	}
-	injs := make(map[[2]int]*faults.Injector)
+	rngs := make(map[[2]int]*rand.Rand)
 	return func(bank, xb int) int {
-		inj := injs[[2]int{bank, xb}]
-		if inj == nil {
-			inj = faults.NewInjector(cfg.FaultSER, seed(bank, xb))
-			injs[[2]int{bank, xb}] = inj
+		rng := rngs[[2]int{bank, xb}]
+		if rng == nil {
+			rng = rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed^0x5e7e, bank, xb)))
+			rngs[[2]int{bank, xb}] = rng
 		}
-		return cfg.Mem.InjectWindow(bank, xb, inj, hours)
+		return cfg.Mem.InjectModel(bank, xb, model, rng, hours)
 	}
 }
