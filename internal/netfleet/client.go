@@ -145,7 +145,7 @@ func (c *nodeConn) live() (*liveConn, uint64, error) {
 
 func (c *nodeConn) readLoop(lc *liveConn) {
 	for {
-		typ, seq, payload, err := readFrame(lc.conn)
+		typ, seq, payload, err := readFrame(lc.conn, nil)
 		if err != nil {
 			lc.fail(fmt.Errorf("netfleet: connection to %s lost: %w", c.addr, err))
 			return

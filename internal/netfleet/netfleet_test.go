@@ -1,6 +1,7 @@
 package netfleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -19,7 +20,7 @@ func testOrg() mmpu.Organization { return mmpu.Custom(45, 6, 2) }
 
 // listenLoopback opens n kernel-assigned loopback listeners up front so
 // every node can know the full peer address list before any node starts.
-func listenLoopback(t *testing.T, n int) ([]net.Listener, []string) {
+func listenLoopback(t testing.TB, n int) ([]net.Listener, []string) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -36,7 +37,7 @@ func listenLoopback(t *testing.T, n int) ([]net.Listener, []string) {
 
 // startFleet boots n nodes over loopback and returns them with their
 // addresses. mut may adjust each node's config before start.
-func startFleet(t *testing.T, org mmpu.Organization, n int, mut func(i int, c *NodeConfig)) ([]*Node, []string) {
+func startFleet(t testing.TB, org mmpu.Organization, n int, mut func(i int, c *NodeConfig)) ([]*Node, []string) {
 	t.Helper()
 	lns, addrs := listenLoopback(t, n)
 	nodes := make([]*Node, n)
@@ -320,17 +321,25 @@ func TestWireBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeBatch(enc)
+	got, err := decodeBatch(nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, reqs) {
 		t.Fatal("batch round trip diverged")
 	}
+	// A destination with room is filled in place, not reallocated.
+	dst := make([]serve.Request, 0, len(reqs))
+	if got, err = decodeBatch(dst, enc); err != nil || !reflect.DeepEqual(got, reqs) {
+		t.Fatalf("decode into a destination diverged: %v", err)
+	}
+	if &got[0] != &dst[:1][0] {
+		t.Fatal("decode into a destination with room reallocated it")
+	}
 	if _, err := encodeBatch([]serve.Request{{Op: serve.OpCompute}}); err == nil {
 		t.Fatal("compute encoded")
 	}
-	if _, err := decodeBatch(enc[:len(enc)-3]); err == nil {
+	if _, err := decodeBatch(nil, enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated batch decoded")
 	}
 }
@@ -345,9 +354,13 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		{Err: serve.ErrServerClosed},
 		{Err: errors.New("disk on fire")},
 	}
-	enc, err := encodeResponses(resps)
+	enc, err := encodeResponses(nil, resps)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The append form writes after dst's bytes and leaves them alone.
+	if prefixed, err := encodeResponses([]byte{0xAB}, resps); err != nil || prefixed[0] != 0xAB || !bytes.Equal(prefixed[1:], enc) {
+		t.Fatalf("append to a non-empty dst diverged: %v", err)
 	}
 	got, err := decodeResponses(enc)
 	if err != nil {
@@ -367,5 +380,63 @@ func TestWireResponseRoundTrip(t *testing.T) {
 	}
 	if got[4].Err == nil || got[4].Err.Error() != "netfleet: remote: disk on fire" {
 		t.Fatalf("free-form error mangled: %v", got[4].Err)
+	}
+}
+
+// TestNodeFrameAllocsFlat: once warm, a node serves a 64-request batch
+// frame with no more allocations than a 1-request frame, so nothing on
+// its frame path — read, decode, serve, encode, write — is allocated per
+// request.
+func TestNodeFrameAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under -race")
+	}
+	org := testOrg()
+	// No election rounds during the count: their gossip allocates.
+	_, addrs := startFleet(t, org, 1, func(_ int, c *NodeConfig) { c.Round = time.Hour })
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frameOf := func(n int) []byte {
+		reqs := make([]serve.Request, n)
+		for i := range reqs {
+			reqs[i] = serve.Request{Op: serve.OpRead, Addr: int64(i) * 64 % (org.DataBits() - 64), Width: 64}
+			if i%4 == 0 {
+				reqs[i].Op, reqs[i].Data = serve.OpWrite, uint64(i)
+			}
+		}
+		payload, err := encodeBatch(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := writeFrame(&b, msgBatch, uint64(n), payload); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	var in []byte
+	roundTrip := func(frame []byte) func() {
+		return func() {
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			typ, _, payload, err := readFrame(conn, in)
+			if err != nil || typ != msgBatchResp {
+				t.Fatalf("batch answered with type %d: %v", typ, err)
+			}
+			in = payload
+		}
+	}
+	one, many := roundTrip(frameOf(1)), roundTrip(frameOf(64))
+	one()
+	many()
+	a1 := testing.AllocsPerRun(200, one)
+	a64 := testing.AllocsPerRun(200, many)
+	t.Logf("allocs per frame: %v for 1 request, %v for 64", a1, a64)
+	if a64 > a1 {
+		t.Fatalf("64-request frame: %v allocs, 1-request frame: %v", a64, a1)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -168,7 +169,8 @@ type Node struct {
 	rot  *rotation
 	pace *pacer
 
-	peers []*peerLink
+	peers  []*peerLink
+	frames sync.Pool // *frame, batch-frame scratch
 
 	reads, writes, batches  *telemetry.Counter
 	scrubs, stale, grantsRx *telemetry.Counter
@@ -346,9 +348,48 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// handle serves one connection: batches execute concurrently (pipelining
-// across in-flight frames), bounded by a per-connection semaphore;
-// responses are matched by sequence number, so completion order is free.
+// framesInFlight bounds the batch frames one connection executes at once.
+const framesInFlight = 16
+
+// maxPooledReqs caps the frame scratch a node pools (the fleet's default
+// 256-request frame): scratch a larger frame grew is dropped after use,
+// so one outsized frame cannot pin its buffers.
+const maxPooledReqs = 256
+
+// frame is one batch frame's scratch, pooled across frames and
+// connections: the payload as read, the decoded requests, their
+// responses and the encoded response frame, header included.
+type frame struct {
+	seq   uint64
+	in    []byte
+	reqs  []serve.Request
+	resps []serve.Response
+	out   []byte
+}
+
+func (n *Node) newFrame() *frame {
+	if f, ok := n.frames.Get().(*frame); ok {
+		return f
+	}
+	return new(frame)
+}
+
+// recycle pools f unless a frame above maxPooledReqs grew it (resps
+// grows with reqs). The byte buffers may hold twice such a frame's
+// request payload, which covers the frame header and allocation
+// rounding; a long control frame or long error texts can pass that.
+func (n *Node) recycle(f *frame) {
+	const maxBytes = 2 * maxPooledReqs * reqSize
+	if cap(f.reqs) <= maxPooledReqs && cap(f.in) <= maxBytes && cap(f.out) <= maxBytes {
+		n.frames.Put(f)
+	}
+}
+
+// handle serves one connection. Batch frames execute concurrently
+// (pipelining across in-flight frames) on up to framesInFlight frame
+// workers that live as long as the connection: a frame goes to an idle
+// worker, else to a new one, else waits until one frees up. Responses
+// are matched by sequence number, so completion order is free.
 func (n *Node) handle(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -358,23 +399,40 @@ func (n *Node) handle(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	var wmu sync.Mutex
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
-	sem := make(chan struct{}, 16)
+	var workers sync.WaitGroup
+	work := make(chan *frame)
+	started := 0
+	defer func() {
+		close(work)
+		workers.Wait()
+	}()
+	f := n.newFrame()
 	for {
-		typ, seq, payload, err := readFrame(conn)
+		typ, seq, payload, err := readFrame(conn, f.in)
 		if err != nil {
 			return
 		}
+		f.in = payload
 		switch typ {
 		case msgBatch:
-			sem <- struct{}{}
-			inflight.Add(1)
-			go func(seq uint64, payload []byte) {
-				defer inflight.Done()
-				defer func() { <-sem }()
-				n.serveBatch(conn, &wmu, seq, payload)
-			}(seq, payload)
+			f.seq = seq
+			select {
+			case work <- f:
+			default:
+				if started < framesInFlight {
+					started++
+					workers.Add(1)
+					go func() {
+						defer workers.Done()
+						for f := range work {
+							n.serveBatch(conn, &wmu, f)
+							n.recycle(f)
+						}
+					}()
+				}
+				work <- f
+			}
+			f = n.newFrame()
 		case msgHello:
 			n.reply(conn, &wmu, msgHelloResp, seq, n.helloDoc())
 		case msgSnapshotReq:
@@ -420,47 +478,40 @@ func (n *Node) helloDoc() hello {
 }
 
 // serveBatch decodes, translates, executes, paces, and answers one
-// request batch. Addresses arrive in the global flat space; the node
-// rebases them into its shard. A request routed to the wrong node lands
-// outside the local address space and fails with the range error — loud,
-// never silently served from the wrong bank.
-func (n *Node) serveBatch(conn net.Conn, wmu *sync.Mutex, seq uint64, payload []byte) {
-	reqs, err := decodeBatch(payload)
+// request batch in f's scratch. Addresses arrive in the global flat
+// space; the node rebases them into its shard. A request routed to the
+// wrong node lands outside the local address space and fails with the
+// range error — loud, never silently served from the wrong bank.
+func (n *Node) serveBatch(conn net.Conn, wmu *sync.Mutex, f *frame) {
+	reqs, err := decodeBatch(f.reqs, f.in)
 	if err != nil {
-		n.reply(conn, wmu, msgErr, seq, wireError{Error: err.Error()})
+		n.reply(conn, wmu, msgErr, f.seq, wireError{Error: err.Error()})
 		return
 	}
-	resps := make([]serve.Response, len(reqs))
-	chans := make([]<-chan serve.Response, len(reqs))
+	f.reqs = reqs
+	writes := 0
 	for i := range reqs {
 		reqs[i].Addr = n.nm.ToLocal(n.cfg.Index, reqs[i].Addr)
 		if reqs[i].Op == serve.OpWrite {
-			n.writes.Inc()
-		} else {
-			n.reads.Inc()
-		}
-		ch, err := n.srv.Submit(reqs[i])
-		if err != nil {
-			resps[i] = serve.Response{Err: err}
-			continue
-		}
-		chans[i] = ch
-	}
-	for i, ch := range chans {
-		if ch != nil {
-			resps[i] = <-ch
+			writes++
 		}
 	}
+	n.writes.Add(int64(writes))
+	n.reads.Add(int64(len(reqs) - writes))
+	f.resps = slices.Grow(f.resps[:0], len(reqs))[:len(reqs)]
+	n.srv.DoBatch(reqs, f.resps)
 	n.batches.Inc()
 	n.pace.charge(len(reqs))
-	out, err := encodeResponses(resps)
+	out, err := encodeResponses(appendHeader(f.out[:0], msgBatchResp, f.seq), f.resps)
+	f.out = out
 	if err != nil {
-		n.reply(conn, wmu, msgErr, seq, wireError{Error: err.Error()})
+		n.reply(conn, wmu, msgErr, f.seq, wireError{Error: err.Error()})
 		return
 	}
+	putLength(out)
 	wmu.Lock()
 	defer wmu.Unlock()
-	_ = writeFrame(conn, msgBatchResp, seq, out)
+	_, _ = conn.Write(out)
 }
 
 // electionLoop drives the rotation: one Tick per Round, gossip to every

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/pmem"
 	"repro/internal/serve"
@@ -66,30 +67,45 @@ func writeFrame(w io.Writer, typ byte, seq uint64, payload []byte) error {
 	if len(payload) > maxFrame-headerLen {
 		return fmt.Errorf("netfleet: frame payload %d exceeds %d", len(payload), maxFrame-headerLen)
 	}
-	buf := make([]byte, 4+headerLen+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(headerLen+len(payload)))
-	buf[4] = typ
-	binary.LittleEndian.PutUint64(buf[5:], seq)
-	copy(buf[4+headerLen:], payload)
+	buf := appendHeader(make([]byte, 0, 4+headerLen+len(payload)), typ, seq)
+	buf = append(buf, payload...)
+	putLength(buf)
 	_, err := w.Write(buf)
 	return err
 }
 
-// readFrame reads one frame, rejecting oversized or truncated input.
-func readFrame(r io.Reader) (typ byte, seq uint64, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n < headerLen || n > maxFrame {
-		return 0, 0, nil, fmt.Errorf("netfleet: frame length %d outside [%d,%d]", n, headerLen, maxFrame)
-	}
-	buf := make([]byte, n)
+// appendHeader appends a frame's length prefix and header to dst; the
+// payload follows, and putLength fills the prefix once it has.
+func appendHeader(dst []byte, typ byte, seq uint64) []byte {
+	dst = append(dst, 0, 0, 0, 0, typ)
+	return binary.LittleEndian.AppendUint64(dst, seq)
+}
+
+// putLength fills the length prefix of a whole frame: an appendHeader
+// header and the payload after it.
+func putLength(frame []byte) {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+}
+
+// readFrame reads one frame, rejecting oversized or truncated input. The
+// payload lands at the start of buf's backing array, which grows when the
+// frame does not fit, so a reader that hands each payload back as the
+// next buf reads without allocating; a nil buf allocates.
+func readFrame(r io.Reader, buf []byte) (typ byte, seq uint64, payload []byte, err error) {
+	buf = slices.Grow(buf[:0], 4)[:4]
 	if _, err = io.ReadFull(r, buf); err != nil {
 		return 0, 0, nil, err
 	}
-	return buf[0], binary.LittleEndian.Uint64(buf[1:9]), buf[headerLen:], nil
+	n := binary.LittleEndian.Uint32(buf)
+	if n < headerLen || n > maxFrame {
+		return 0, 0, nil, fmt.Errorf("netfleet: frame length %d outside [%d,%d]", n, headerLen, maxFrame)
+	}
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	if _, err = io.ReadFull(r, buf); err != nil {
+		return 0, 0, nil, err
+	}
+	typ, seq = buf[0], binary.LittleEndian.Uint64(buf[1:headerLen])
+	return typ, seq, buf[:copy(buf, buf[headerLen:])], nil
 }
 
 // Request batch layout: uint32 count, then per request
@@ -125,8 +141,9 @@ func encodeBatch(reqs []serve.Request) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeBatch parses a batch payload.
-func decodeBatch(b []byte) ([]serve.Request, error) {
+// decodeBatch parses a batch payload into dst's backing array, growing it
+// when the batch does not fit, and returns the requests.
+func decodeBatch(dst []serve.Request, b []byte) ([]serve.Request, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("netfleet: batch truncated at %d bytes", len(b))
 	}
@@ -137,7 +154,7 @@ func decodeBatch(b []byte) ([]serve.Request, error) {
 	if len(b) != 4+int(n)*reqSize {
 		return nil, fmt.Errorf("netfleet: batch of %d wants %d bytes, got %d", n, 4+int(n)*reqSize, len(b))
 	}
-	reqs := make([]serve.Request, n)
+	reqs := slices.Grow(dst[:0], int(n))[:n]
 	off := 4
 	for i := range reqs {
 		op := serve.OpKind(b[off])
@@ -169,38 +186,33 @@ const (
 // Response batch layout: uint32 count, then per response
 // uint8 code | uint64 data | uint16 msgLen | msg — the message is empty
 // except for codeOther, which carries the error text verbatim.
-func encodeResponses(resps []serve.Response) ([]byte, error) {
-	size := 4
-	msgs := make([]string, len(resps))
-	for i, r := range resps {
-		size += 1 + 8 + 2
-		if r.Err != nil && codeFor(r.Err) == codeOther {
-			msg := r.Err.Error()
-			if len(msg) > 1<<12 {
-				msg = msg[:1<<12]
-			}
-			msgs[i] = msg
-			size += len(msg)
-		}
-	}
-	if size > maxFrame-headerLen {
-		return nil, fmt.Errorf("netfleet: response batch of %d bytes exceeds frame limit", size)
-	}
-	buf := make([]byte, size)
-	binary.LittleEndian.PutUint32(buf, uint32(len(resps)))
-	off := 4
-	for i, r := range resps {
-		code := codeOK
+//
+// encodeResponses appends the payload for resps to dst.
+func encodeResponses(dst []byte, resps []serve.Response) ([]byte, error) {
+	start := len(dst)
+	dst = slices.Grow(dst, 4+11*len(resps))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resps)))
+	for _, r := range resps {
+		code, msg := codeOK, ""
 		if r.Err != nil {
-			code = codeFor(r.Err)
+			if code = codeFor(r.Err); code == codeOther {
+				msg = r.Err.Error()
+				if len(msg) > 1<<12 {
+					msg = msg[:1<<12]
+				}
+			}
 		}
-		buf[off] = code
-		binary.LittleEndian.PutUint64(buf[off+1:], r.Data)
-		binary.LittleEndian.PutUint16(buf[off+9:], uint16(len(msgs[i])))
-		copy(buf[off+11:], msgs[i])
-		off += 11 + len(msgs[i])
+		dst = append(dst, code)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Data)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(msg)))
+		dst = append(dst, msg...)
+		// Checked per response, so a batch of long messages fails at the
+		// limit rather than after encoding all of them.
+		if len(dst)-start > maxFrame-headerLen {
+			return dst[:start], fmt.Errorf("netfleet: response batch of %d responses exceeds the frame limit", len(resps))
+		}
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // codeFor maps a serving error onto its wire code.

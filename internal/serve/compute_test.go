@@ -316,6 +316,72 @@ func TestServerSubmitCloseRace(t *testing.T) {
 	}
 }
 
+// TestServerDoBatchCloseRace is the batch twin of the Submit race: DoBatch
+// callers, each writing slots of its own and reading them back in the
+// same batch, race one Close. A batch is queued whole or not at all:
+// either every request serves normally, reads returning the batch's own
+// writes, or every one fails with ErrServerClosed. No caller may block
+// on a group whose calls never reach a worker.
+func TestServerDoBatchCloseRace(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		mem := testMem(t, 45, 15, 4, 1)
+		srv, err := New(Config{Mem: mem, Workers: 2, QueueDepth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const callers, slots, warmup = 8, 30, 10
+		var wg sync.WaitGroup
+		errCh := make(chan error, callers)
+		warm := make(chan struct{}, callers) // one send per caller at most
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				reqs := make([]Request, 2*(1+g%4))
+				resps := make([]Response, len(reqs))
+				for k := 0; ; k++ {
+					if k == warmup {
+						warm <- struct{}{}
+					}
+					for i := 0; i < len(reqs); i += 2 {
+						addr := int64(g*slots+(k+i)%slots) * 32
+						v := uint64(g<<20 | k<<8 | i)
+						reqs[i] = Request{Op: OpWrite, Addr: addr, Width: 32, Data: v}
+						reqs[i+1] = Request{Op: OpRead, Addr: addr, Width: 32}
+					}
+					srv.DoBatch(reqs, resps)
+					closed := 0
+					for i, r := range resps {
+						switch {
+						case r.Err == ErrServerClosed:
+							closed++
+						case r.Err != nil:
+							errCh <- r.Err
+							return
+						case reqs[i].Op == OpRead && r.Data != reqs[i-1].Data:
+							errCh <- fmt.Errorf("caller %d batch %d: read %#x after writing %#x", g, k, r.Data, reqs[i-1].Data)
+							return
+						}
+					}
+					if closed > 0 {
+						if closed != len(resps) {
+							errCh <- fmt.Errorf("caller %d: %d of %d requests closed: a batch was split by Close", g, closed, len(resps))
+						}
+						return
+					}
+				}
+			}(g)
+		}
+		<-warm // Close once some caller has verified a few batches
+		srv.Close()
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}
+
 // TestExecutorRejectsOverflowingSpans is the regression net for the
 // executor's overflow-safe range guard: a near-MaxInt64 address must be
 // rejected as a validation error, not wrap negative past the guard.

@@ -29,7 +29,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mmpu"
@@ -71,9 +73,10 @@ type Response struct {
 }
 
 // ErrServerClosed reports a submission to a server that has shut down.
-// Submit checks the closed flag under the same lock Close closes the
-// queues under, so a racing Submit either enqueues before the close or
-// returns this error — it can never send on a closed queue.
+// Submit and DoBatch check the closed flag under the same lock Close
+// closes the queues under, so a racing submission either enqueues before
+// the close or fails with this error — it can never send on a closed
+// queue.
 var ErrServerClosed = errors.New("serve: server closed")
 
 // Config sizes a server.
@@ -164,12 +167,45 @@ func (s Stats) Merge(o Stats) Stats {
 	}
 }
 
-// call carries a request through a worker queue.
+// call carries a request through a worker queue. The worker stores the
+// response in the call and then counts the call off its group.
 type call struct {
 	req  Request
-	t0   time.Time
-	resp chan Response
+	resp Response
+	g    *group
 }
+
+// group is one submission's completion: the calls of a Submit, a Do or a
+// DoBatch, the time they were queued, and the one channel the last of
+// them to be served sends its response on.
+type group struct {
+	left atomic.Int32 // calls not yet served
+	t0   time.Time
+	done chan Response // capacity 1: the sending worker never blocks
+}
+
+// finish stores a served call's response and counts the call off its
+// group. Once another call may still be outstanding, neither the call nor
+// the group is touched again: the submitter reuses both as soon as the
+// group completes.
+func (c *call) finish(resp Response) {
+	c.resp = resp
+	if g := c.g; g.left.Add(-1) == 0 {
+		g.done <- c.resp
+	}
+}
+
+// batch is a pooled group with its slab of calls, index-aligned with the
+// requests of one Do or DoBatch.
+type batch struct {
+	group
+	calls []call
+}
+
+// maxPooledCalls caps the slab a finished batch returns to the pool (the
+// fleet's default 256-request frame): a larger batch's slab is dropped,
+// so one outsized batch cannot pin it.
+const maxPooledCalls = 256
 
 // Server is the live concurrent service. Clients may Submit from any
 // number of goroutines; each bank's requests serialize through its one
@@ -181,8 +217,9 @@ type Server struct {
 	workers    int
 	bankWorker []int // bank → owning worker
 	queues     []chan *call
-	stats      []Stats // per worker; written only by the owner until Close
-	tel        probes  // shared across workers (atomic); zero value = off
+	stats      []Stats   // per worker; written only by the owner until Close
+	tel        probes    // shared across workers (atomic); zero value = off
+	batches    sync.Pool // *batch, for Do and DoBatch
 	wg         sync.WaitGroup
 
 	mu     sync.RWMutex
@@ -243,29 +280,84 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) EffectiveWorkers() int { return s.workers }
 
 // Submit enqueues a request and returns the channel its response will
-// arrive on. Routing is by the bank owning the starting address.
+// arrive on. Routing is by the bank owning the starting address. The
+// request is a group of one whose channel the caller keeps, so unlike Do
+// it is not pooled.
 func (s *Server) Submit(req Request) (<-chan Response, error) {
 	bank, err := s.org.BankOf(req.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	c := &call{req: req, t0: time.Now(), resp: make(chan Response, 1)}
+	one := new(struct {
+		g group
+		c call
+	})
+	one.g.left.Store(1)
+	one.g.t0 = time.Now()
+	one.g.done = make(chan Response, 1)
+	one.c = call{req: req, g: &one.g}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, ErrServerClosed
 	}
-	s.queues[s.bankWorker[bank]] <- c
-	return c.resp, nil
+	s.queues[s.bankWorker[bank]] <- &one.c
+	return one.g.done, nil
 }
 
-// Do submits a request and awaits its response.
+// Do serves one request and awaits its response: a DoBatch of one.
 func (s *Server) Do(req Request) Response {
-	ch, err := s.Submit(req)
-	if err != nil {
-		return Response{Err: err}
+	var resp [1]Response
+	s.DoBatch([]Request{req}, resp[:])
+	return resp[0]
+}
+
+// DoBatch serves reqs and waits once for all of them, storing request
+// i's response in resps[i]; resps must be at least as long as reqs. Each
+// request routes to its bank's worker as Submit's does, so requests to
+// different banks run concurrently and a bank's requests keep their
+// order. A request whose address lies outside the memory fails alone, in
+// its own response; on a closed server every request fails with
+// ErrServerClosed. The calls come from a pooled slab and the batch's last
+// served call completes it, so DoBatch allocates nothing per request.
+func (s *Server) DoBatch(reqs []Request, resps []Response) {
+	resps = resps[:len(reqs)]
+	b, _ := s.batches.Get().(*batch)
+	if b == nil {
+		b = &batch{group: group{done: make(chan Response, 1)}}
 	}
-	return <-ch
+	b.calls = slices.Grow(b.calls[:0], len(reqs))[:len(reqs)]
+	g := &b.group
+	// One count per request plus the submitter's own, released after the
+	// last call is queued, so no worker completes the group early.
+	g.left.Store(int32(len(reqs)) + 1)
+	g.t0 = time.Now()
+	s.mu.RLock()
+	for i, r := range reqs {
+		c := &b.calls[i]
+		*c = call{req: r, g: g}
+		bank, err := s.org.BankOf(r.Addr)
+		switch {
+		case err != nil:
+			c.resp.Err = fmt.Errorf("serve: %w", err)
+		case s.closed:
+			c.resp.Err = ErrServerClosed
+		default:
+			s.queues[s.bankWorker[bank]] <- c
+			continue
+		}
+		g.left.Add(-1)
+	}
+	s.mu.RUnlock()
+	if g.left.Add(-1) != 0 {
+		<-g.done
+	}
+	for i := range resps {
+		resps[i] = b.calls[i].resp
+	}
+	if cap(b.calls) <= maxPooledCalls {
+		s.batches.Put(b)
+	}
 }
 
 // Read serves a blocking read of up to 64 bits.
@@ -337,12 +429,12 @@ func (s *Server) worker(w int, banks []int) {
 			s.tel.queueDepth.Set(int64(len(q)))
 			start := time.Now()
 			for _, x := range round {
-				s.tel.wait.Observe(start.Sub(x.t0).Nanoseconds())
+				s.tel.wait.Observe(start.Sub(x.g.t0).Nanoseconds())
 			}
 		}
 		c.serve(round, func(i int, resp Response, info execInfo) {
-			c.record(resp, info, time.Since(round[i].t0).Nanoseconds(), -1)
-			round[i].resp <- resp
+			c.record(resp, info, time.Since(round[i].g.t0).Nanoseconds(), -1)
+			round[i].finish(resp)
 		})
 		if s.cfg.ScrubEvery > 0 {
 			for credit += len(round); credit >= s.cfg.ScrubEvery; credit -= s.cfg.ScrubEvery {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -280,5 +281,123 @@ func TestExecutorCoalescedGroupZeroAllocs(t *testing.T) {
 	}
 	if sum == 0 {
 		t.Fatal("the group's reads returned nothing")
+	}
+}
+
+// TestServerDoZeroAllocs pins the pooled completion path: once warm, a
+// Do and a 64-request DoBatch allocate nothing, with telemetry off.
+func TestServerDoZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under -race")
+	}
+	mem := testMem(t, 45, 15, 4, 2)
+	srv, err := New(Config{Mem: mem, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	slots := mem.Config().Org.DataBits() / 64
+	reqs := make([]Request, 64)
+	for i := range reqs {
+		reqs[i] = Request{Op: OpRead, Addr: int64(i*7) % slots * 64, Width: 64}
+		if i%3 == 0 {
+			reqs[i] = Request{Op: OpWrite, Addr: reqs[i].Addr, Width: 64, Data: uint64(i)}
+		}
+	}
+	resps := make([]Response, len(reqs))
+	k := 0
+	do := func() {
+		if r := srv.Do(reqs[k%len(reqs)]); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		k++
+	}
+	batch := func() {
+		srv.DoBatch(reqs, resps)
+		for _, r := range resps {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	for name, op := range map[string]func(){"Do": do, "DoBatch(64)": batch} {
+		op()
+		if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestDoBatchMatchesDo: one mixed DoBatch — reads, writes, row- and
+// bank-spanning requests, an out-of-range address, width 0 and width 65
+// — answers exactly as the same requests through sequential Do and
+// leaves the same memory image, and only the two malformed requests
+// fail. Requests that touch the same bits start in the same bank, so
+// per-bank FIFO order fixes the outcome even with several workers.
+func TestDoBatchMatchesDo(t *testing.T) {
+	const n, banks = 45, 4
+	org := mmpu.Custom(n, banks, 1)
+	bankEnd := org.BankBits()
+	rowEnd := int64(n)
+	reqs := []Request{
+		{Op: OpWrite, Addr: 0, Width: 64, Data: 0x0123456789ABCDEF},
+		{Op: OpRead, Addr: 0, Width: 64},
+		{Op: OpWrite, Addr: rowEnd - 10, Width: 30, Data: 0x2AAAAAAA},      // crosses a row end
+		{Op: OpRead, Addr: rowEnd - 10, Width: 30},                         // reads the spanning write
+		{Op: OpWrite, Addr: bankEnd - 20, Width: 48, Data: 0xFEDCBA987654}, // crosses into bank 1
+		{Op: OpRead, Addr: bankEnd - 20, Width: 48},                        // same span, same worker
+		{Op: OpRead, Addr: org.DataBits(), Width: 8},                       // outside the memory
+		{Op: OpRead, Addr: 2 * bankEnd, Width: 0},                          // width 0
+		{Op: OpWrite, Addr: 2*bankEnd + 64, Width: 65, Data: 1},            // width 65
+		{Op: OpWrite, Addr: 3*bankEnd + 100, Width: 17, Data: 0x1FFFF},     // last bank
+		{Op: OpRead, Addr: 3*bankEnd + 100, Width: 17},                     // sees it
+		{Op: OpRead, Addr: 3*bankEnd + 90, Width: 40},                      // overlaps it
+		{Op: OpWrite, Addr: 2*bankEnd + 7, Width: 9, Data: 0x155},          // beside the bad ones
+		{Op: OpRead, Addr: 2*bankEnd + 7, Width: 9},
+	}
+	bad := map[int]bool{6: true, 8: true} // width 0 is a valid no-op
+	serveWith := func(batch bool) ([]Response, []uint64) {
+		mem, err := pmem.New(pmem.Config{Org: org, M: 15, K: 2, ECCEnabled: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{Mem: mem, Workers: banks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps := make([]Response, len(reqs))
+		if batch {
+			srv.DoBatch(reqs, resps)
+		} else {
+			for i, r := range reqs {
+				resps[i] = srv.Do(r)
+			}
+		}
+		srv.Close()
+		image, err := mem.ReadRange(0, org.DataBits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resps, image
+	}
+	want, wantImage := serveWith(false)
+	got, gotImage := serveWith(true)
+	for i := range reqs {
+		if (got[i].Err == nil) != (want[i].Err == nil) || got[i].Data != want[i].Data ||
+			(got[i].Err != nil && got[i].Err.Error() != want[i].Err.Error()) {
+			t.Errorf("request %d: DoBatch %+v, Do %+v", i, got[i], want[i])
+		}
+		if (got[i].Err != nil) != bad[i] {
+			t.Errorf("request %d: error %v, want failure %v", i, got[i].Err, bad[i])
+		}
+	}
+	if !errors.Is(got[8].Err, pmem.ErrSpan) {
+		t.Errorf("width 65: %v, want ErrSpan", got[8].Err)
+	}
+	if got[1].Data != 0x0123456789ABCDEF || got[3].Data != 0x2AAAAAAA || got[5].Data != 0xFEDCBA987654 {
+		t.Errorf("batched reads missed the batch's writes: %+v", got[:6])
+	}
+	if !slices.Equal(gotImage, wantImage) {
+		t.Error("DoBatch left a different memory image than sequential Do")
 	}
 }
