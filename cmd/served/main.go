@@ -47,16 +47,15 @@ func run() int {
 	var rep cliflags.Repair
 	cliflags.RegisterRepair(fs, &rep)
 	var workers int
-	cliflags.RegisterWorkers(fs, &workers, "serve workers for this node's shard (0 = one per owned bank)")
+	cliflags.RegisterWorkers(fs, &workers, "serve lanes the node's banks are split across (0 = GOMAXPROCS, capped at the owned banks)")
 	var tel cliflags.Telemetry
 	cliflags.RegisterTelemetry(fs, &tel)
 
 	node := fs.Int("node", 0, "this node's index in the fleet")
 	peers := fs.String("peers", "", "comma-separated node addresses in node order; the fleet size is the count")
 	addr := fs.String("addr", "", "listen address override (default: the -peers entry at -node)")
-	queue := fs.Int("queue", 0, "per-worker queue depth (0 = serve default)")
-	batch := fs.Int("batch", 0, "worker batch window (0 = serve default)")
-	scrubEvery := fs.Int("scrub-every", 0, "node-local scrub admission period in batches (0 = fleet rotation only)")
+	batch := fs.Int("batch", 0, "requests per lane service round (0 = serve default)")
+	scrubEvery := fs.Int("scrub-every", 0, "node-local scrub admission: one crossbar scrub per this many served requests (0 = fleet rotation only)")
 	round := fs.Duration("round", 25*time.Millisecond, "election round period")
 	electionK := fs.Int("election-k", election.DefaultK, "election hearsay lease in rounds")
 	channelNs := fs.Int64("channel-ns", 0, "modeled memory-channel occupancy per request in nanoseconds (0 = host speed)")
@@ -90,7 +89,6 @@ func run() int {
 		Scheme:     eccf.Scheme,
 		Repair:     rep.Config,
 		Workers:    workers,
-		QueueDepth: *queue,
 		BatchSize:  *batch,
 		ScrubEvery: *scrubEvery,
 		Round:      *round,

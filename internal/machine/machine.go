@@ -467,9 +467,7 @@ func (m *Machine) checkLine(out []ecc.Finding, o shifter.Orientation, idx int) [
 			cycles++
 		}
 	}
-	for ; cycles > 0; cycles-- {
-		m.mem.Tick()
-	}
+	m.mem.TickN(cycles)
 	for _, f := range out[start:] {
 		m.tallyDiag(f.Diag)
 	}

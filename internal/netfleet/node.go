@@ -43,7 +43,6 @@ type NodeConfig struct {
 
 	// Serving knobs (serve.Config semantics, per node).
 	Workers      int
-	QueueDepth   int
 	BatchSize    int
 	ScrubEvery   int // node-local scrub admission; 0 leaves scrubbing to the fleet rotation
 	ComputeAdmit int64
@@ -184,8 +183,8 @@ type Node struct {
 	open  bool
 }
 
-// NewNode builds the shard memory, starts the serve workers, the
-// listener, and the election loop.
+// NewNode builds the shard memory and its server, and starts the
+// listener and the election loop.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if err := cfg.Org.Validate(); err != nil {
 		return nil, err
@@ -217,7 +216,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	mem.Instrument(reg)
 	srv, err := serve.New(serve.Config{
-		Mem: mem, Workers: cfg.Workers, QueueDepth: cfg.QueueDepth,
+		Mem: mem, Workers: cfg.Workers,
 		BatchSize: cfg.BatchSize, ScrubEvery: cfg.ScrubEvery,
 		ComputeAdmit: cfg.ComputeAdmit, Telemetry: reg,
 	})
@@ -304,8 +303,8 @@ func (n *Node) Stats() NodeStats {
 	}
 }
 
-// Close stops the listener, the election loop, and the serve workers,
-// returning the merged serving statistics.
+// Close stops the listener and the election loop, waits for the frames in
+// flight, and closes the server, returning the merged serving statistics.
 func (n *Node) Close() serve.Stats {
 	n.mu.Lock()
 	if !n.open {

@@ -10,11 +10,11 @@
 //
 // Memory is safe for concurrent use through its exported access methods:
 // every bank is guarded by its own mutex, so accesses to different banks
-// proceed in parallel (the serving layer's per-bank workers never
-// contend) while accesses to the same bank serialize. Range operations
-// spanning several banks lock one bank at a time, segment by segment in
-// ascending address order — each segment is applied atomically, the range
-// as a whole is not. Crossbar hands out the raw machine with no
+// proceed in parallel (the serving layer's lanes own disjoint banks and
+// never contend) while accesses to the same bank serialize. Range
+// operations spanning several banks lock one bank at a time, segment by
+// segment in ascending address order — each segment is applied
+// atomically, the range as a whole is not. Crossbar hands out the raw machine with no
 // synchronization; it is for single-threaded setup and inspection only.
 package pmem
 

@@ -202,7 +202,7 @@ func TestAdmissionBoundsClientTail(t *testing.T) {
 // TestServeComputeUnderClientTraffic is the live-path race proof for
 // compute-as-traffic: client goroutines keep read-after-write
 // consistency on banks 1..N while a compute tenant streams SIMD
-// pipelines into bank 0 through the same workers, under admission
+// pipelines into bank 0 through the same lanes, under admission
 // control. Run with -race this exercises the deferred-compute queue
 // discipline; afterward the memory must scrub clean.
 func TestServeComputeUnderClientTraffic(t *testing.T) {
@@ -277,7 +277,7 @@ func TestServeComputeUnderClientTraffic(t *testing.T) {
 func TestServerSubmitCloseRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		mem := testMem(t, 45, 15, 4, 1)
-		srv, err := New(Config{Mem: mem, Workers: 2, QueueDepth: 4})
+		srv, err := New(Config{Mem: mem, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,11 +321,11 @@ func TestServerSubmitCloseRace(t *testing.T) {
 // same batch, race one Close. A batch is queued whole or not at all:
 // either every request serves normally, reads returning the batch's own
 // writes, or every one fails with ErrServerClosed. No caller may block
-// on a group whose calls never reach a worker.
+// on a group whose calls never reach a lane.
 func TestServerDoBatchCloseRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		mem := testMem(t, 45, 15, 4, 1)
-		srv, err := New(Config{Mem: mem, Workers: 2, QueueDepth: 4})
+		srv, err := New(Config{Mem: mem, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

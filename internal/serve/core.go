@@ -12,14 +12,15 @@ type job interface{ request() Request }
 func (c *call) request() Request    { return c.req }
 func (t TimedReq) request() Request { return t.Req }
 
-// core is one bank worker's service policy, written once for both
-// engines: the live Server and its virtual-time twin Replay. It owns the
-// three decisions the engines must make identically — which requests a
-// service round admits under the ComputeAdmit budget, which crossbar the
-// next background scrub visits, and how a served request or scrub is
-// accounted in Stats, TenantStats and the probes. An engine keeps only
-// its clock: how a window of arrivals forms, how a request's latency is
-// measured, and when a scrub is due.
+// core is the service policy of one live lane or one replay worker,
+// written once for both engines: the live Server and its virtual-time
+// twin Replay. It owns the three decisions the engines must make
+// identically — which requests a service round admits under the
+// ComputeAdmit budget, which crossbar the next background scrub visits,
+// and how a served request or scrub is accounted in Stats, TenantStats
+// and the probes. An engine keeps only its clock: how a window of
+// arrivals forms, how a request's latency is measured, and when a scrub
+// is due.
 type core[J job] struct {
 	mem    *pmem.Memory
 	ex     executor

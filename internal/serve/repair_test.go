@@ -101,7 +101,7 @@ func TestReplayRepairUnknownModelRejected(t *testing.T) {
 // trip over — racing the scrub's own retirement path — without ever
 // breaking read-after-write consistency or surfacing an error while the
 // spare budget holds. Run under -race this also proves the repair table's
-// lock discipline against concurrent bank workers.
+// lock discipline against concurrently served lanes.
 func TestServeRepairRetirementUnderTraffic(t *testing.T) {
 	runServeRetirement(t, testMemRepair(t, 45, 15, 8, 1, 64))
 }

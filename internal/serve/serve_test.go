@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mmpu"
 	"repro/internal/pmem"
@@ -27,11 +30,11 @@ func testMem(t testing.TB, n, m, banks, perBank int) *pmem.Memory {
 
 // TestServeRaceStress is the concurrency proof of the serving layer: N
 // client goroutines hammer reads and writes over disjoint address sets
-// while background scrubs run, at 1, 8, and 32 bank workers. Every
+// while background scrubs run, at 1, 8, and 32 lanes. Every
 // client must observe read-after-write consistency (a server response is
 // the serialization point), and with no faults injected the scrubs must
-// raise zero ECC alarms. Run under -race this also proves the
-// channel/lock discipline.
+// raise zero ECC alarms. Run under -race this also proves the lane and
+// lock discipline.
 func TestServeRaceStress(t *testing.T) {
 	const (
 		clients = 8
@@ -116,9 +119,9 @@ func max64(a, b int64) int64 {
 }
 
 // TestServerCrossBankSpans: requests whose span crosses a bank boundary
-// are owned by the starting bank's worker but write into the neighbor
+// are owned by the starting bank's lane but write into the neighbor
 // under pmem's locks — they must still round-trip while both banks'
-// workers serve other traffic.
+// lanes serve other traffic.
 func TestServerCrossBankSpans(t *testing.T) {
 	mem := testMem(t, 45, 15, 4, 1)
 	per := int64(45 * 45)
@@ -184,7 +187,7 @@ func TestServerValidatesRequests(t *testing.T) {
 }
 
 // TestServerScrubBudgetAndRotation pins the live scrub trigger and the
-// rotation: one worker serving one sequential client admits exactly one
+// rotation: one lane serving one sequential client admits exactly one
 // scrub per ScrubEvery requests, visiting its crossbars bank-major —
 // (0,0), (0,1), (1,0), (1,1), then around again.
 func TestServerScrubBudgetAndRotation(t *testing.T) {
@@ -333,7 +336,7 @@ func TestServerDoZeroAllocs(t *testing.T) {
 // — answers exactly as the same requests through sequential Do and
 // leaves the same memory image, and only the two malformed requests
 // fail. Requests that touch the same bits start in the same bank, so
-// per-bank FIFO order fixes the outcome even with several workers.
+// per-bank FIFO order fixes the outcome even with several lanes.
 func TestDoBatchMatchesDo(t *testing.T) {
 	const n, banks = 45, 4
 	org := mmpu.Custom(n, banks, 1)
@@ -345,7 +348,7 @@ func TestDoBatchMatchesDo(t *testing.T) {
 		{Op: OpWrite, Addr: rowEnd - 10, Width: 30, Data: 0x2AAAAAAA},      // crosses a row end
 		{Op: OpRead, Addr: rowEnd - 10, Width: 30},                         // reads the spanning write
 		{Op: OpWrite, Addr: bankEnd - 20, Width: 48, Data: 0xFEDCBA987654}, // crosses into bank 1
-		{Op: OpRead, Addr: bankEnd - 20, Width: 48},                        // same span, same worker
+		{Op: OpRead, Addr: bankEnd - 20, Width: 48},                        // same span, same lane
 		{Op: OpRead, Addr: org.DataBits(), Width: 8},                       // outside the memory
 		{Op: OpRead, Addr: 2 * bankEnd, Width: 0},                          // width 0
 		{Op: OpWrite, Addr: 2*bankEnd + 64, Width: 65, Data: 1},            // width 65
@@ -399,5 +402,153 @@ func TestDoBatchMatchesDo(t *testing.T) {
 	}
 	if !slices.Equal(gotImage, wantImage) {
 		t.Error("DoBatch left a different memory image than sequential Do")
+	}
+}
+
+// TestServerStartsNoGoroutines: every round runs on a submitter's
+// goroutine, so building a server, serving a Do and a DoBatch across both
+// lanes, and closing it starts no goroutine. Goroutines an earlier test
+// left exiting may lower the count meanwhile, never raise it.
+func TestServerStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	mem := testMem(t, 45, 15, 4, 1)
+	srv, err := New(Config{Mem: mem, Workers: 2, ScrubEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.EffectiveWorkers() != 2 {
+		t.Fatalf("%d lanes, want 2", srv.EffectiveWorkers())
+	}
+	if err := srv.Write(0, 32, 0xC0FFEE); err != nil {
+		t.Fatal(err)
+	}
+	far := 3 * mem.Config().Org.BankBits() // bank 3, on the second lane
+	reqs := []Request{
+		{Op: OpWrite, Addr: far, Width: 16, Data: 0xBEEF},
+		{Op: OpRead, Addr: 0, Width: 32},
+		{Op: OpRead, Addr: far, Width: 16},
+	}
+	resps := make([]Response, len(reqs))
+	srv.DoBatch(reqs, resps)
+	if resps[1].Data != 0xC0FFEE || resps[2].Data != 0xBEEF {
+		t.Fatalf("cross-lane batch read %+v", resps)
+	}
+	during := runtime.NumGoroutine()
+	st := srv.Close()
+	after := runtime.NumGoroutine()
+	if during > before || after > before {
+		t.Fatalf("goroutines: %d before, %d while serving, %d after Close", before, during, after)
+	}
+	if st.Requests != 4 || st.Scrubs == 0 {
+		t.Fatalf("served %d requests and %d scrubs, want 4 and some", st.Requests, st.Scrubs)
+	}
+}
+
+// TestLaneHandoff drives the lane protocol through its hand-offs: eight
+// callers on two lanes with four-request rounds, every batch writing
+// slots of its own on both lanes and reading them back, and every other
+// caller adding a compute on bank 0 that a one-cycle admission budget
+// holds over, so lanes pass between submitters both from their queues and
+// through held computes. Every DoBatch must return within the deadline: a
+// lost hand-off strands its waiters, which fails the test rather than
+// hanging it. Afterwards every lane is idle with nothing queued or held.
+// With one P a submitter would rarely be preempted mid-round, so the test
+// runs on at least two.
+func TestLaneHandoff(t *testing.T) {
+	const (
+		callers  = 8
+		batches  = 40
+		deadline = 10 * time.Second
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	mem := testMem(t, 90, 15, 8, 2)
+	org := mem.Config().Org
+	plan, err := BuildComputePlan("search", org.CrossbarN, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Mem: mem, Workers: 2, BatchSize: 4, ScrubEvery: 16, ComputeAdmit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inside [callers]atomic.Int64 // when the caller entered its DoBatch (unix ns); 0 outside
+	var wg sync.WaitGroup
+	errCh := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var reqs []Request
+			var resps []Response
+			for k := 0; k < batches; k++ {
+				reqs = reqs[:0]
+				if g%2 == 0 {
+					reqs = append(reqs, Request{Op: OpCompute, Addr: 0, Plan: plan})
+				}
+				// Three slots on banks 1..7, away from the compute's
+				// scratch rows: banks 1–3 are the first lane's, 4–7 the
+				// second's.
+				for i := 0; i < 3; i++ {
+					bank := 1 + (g+k+3*i)%7
+					addr := int64(bank)*org.BankBits() + int64(3*g+i)*64
+					v := uint64(g)<<32 | uint64(k)<<8 | uint64(i)
+					reqs = append(reqs, Request{Op: OpWrite, Addr: addr, Width: 64, Data: v},
+						Request{Op: OpRead, Addr: addr, Width: 64})
+				}
+				resps = slices.Grow(resps[:0], len(reqs))[:len(reqs)]
+				inside[g].Store(time.Now().UnixNano())
+				srv.DoBatch(reqs, resps)
+				inside[g].Store(0)
+				for i, r := range resps {
+					switch {
+					case r.Err != nil:
+						errCh <- fmt.Errorf("caller %d batch %d request %d: %v", g, k, i, r.Err)
+						return
+					case reqs[i].Op == OpRead && r.Data != reqs[i-1].Data:
+						errCh <- fmt.Errorf("caller %d batch %d: read %#x after writing %#x", g, k, r.Data, reqs[i-1].Data)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	watch := time.NewTicker(20 * time.Millisecond)
+	defer watch.Stop()
+	for waiting := true; waiting; {
+		select {
+		case <-finished:
+			waiting = false
+		case now := <-watch.C:
+			for g := range inside {
+				if t0 := inside[g].Load(); t0 != 0 && now.Sub(time.Unix(0, t0)) > deadline {
+					t.Fatalf("caller %d has waited in DoBatch for over %v: a lane hand-off was lost", g, deadline)
+				}
+			}
+		}
+	}
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	for i, ln := range srv.lanes {
+		ln.mu.Lock()
+		serving, queued, held := ln.serving, len(ln.queue), len(ln.core.held)
+		ln.mu.Unlock()
+		if serving || queued != 0 || held != 0 {
+			t.Fatalf("lane %d after the run: serving %v, %d queued, %d held", i, serving, queued, held)
+		}
+	}
+	st := srv.Close()
+	const computes = callers / 2 * batches
+	if want := int64(callers*batches*6 + computes); st.Requests != want || st.Computes != computes || st.Errors != 0 {
+		t.Fatalf("served %d requests (%d computes, %d errors), want %d (%d computes)", st.Requests, st.Computes, st.Errors, want, computes)
+	}
+	if c, u := mem.ScrubAll(); c != 0 || u != 0 {
+		t.Fatalf("scrub after the run: corrected %d, uncorrectable %d", c, u)
 	}
 }

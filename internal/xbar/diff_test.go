@@ -2,6 +2,7 @@ package xbar
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -204,6 +205,7 @@ func TestGateExecutionZeroAllocs(t *testing.T) {
 		"ClearRowInCols":    func() { x.ClearRowInCols(2, cols) },
 		"WriteRow":          func() { x.WriteRow(7, v) },
 		"Tick":              func() { x.Tick() },
+		"TickN":             func() { x.TickN(12) },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
@@ -227,5 +229,56 @@ func TestReadRowSamplesWatches(t *testing.T) {
 	}
 	if !hist[1].val {
 		t.Fatal("read-cycle sample did not capture the drifted value")
+	}
+}
+
+// TestTickNMatchesTicks: TickN(n) leaves the same statistics as n Ticks,
+// for zero and negative n too, and with watches attached the same
+// waveform, down to the cycle each drifted cell is sampled at.
+func TestTickNMatchesTicks(t *testing.T) {
+	for _, watched := range []bool{false, true} {
+		got, want := New(4, 4), New(4, 4)
+		if watched {
+			for _, x := range []*Crossbar{got, want} {
+				x.WatchCell(1, 1)
+				x.WatchCell(2, 3)
+			}
+		}
+		for step, n := range []int{3, 0, 1, -2, 7, 30} {
+			// Drift the watched cells before each positive charge without
+			// consuming a cycle, so its first cycle has a change to sample.
+			if n > 0 {
+				for _, x := range []*Crossbar{got, want} {
+					x.Flip(1, 1)
+					x.Flip(2, 3)
+				}
+			}
+			got.TickN(n)
+			for k := 0; k < n; k++ {
+				want.Tick()
+			}
+			if got.Stats() != want.Stats() {
+				t.Fatalf("watched=%v step %d: TickN(%d) left %+v, %d Ticks %+v", watched, step, n, got.Stats(), n, want.Stats())
+			}
+		}
+		if !watched {
+			continue
+		}
+		var g, w strings.Builder
+		if err := got.WriteVCD(&g, "m"); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.WriteVCD(&w, "m"); err != nil {
+			t.Fatal(err)
+		}
+		if g.String() != w.String() {
+			t.Fatalf("TickN waveform:\n%s\nTick waveform:\n%s", g.String(), w.String())
+		}
+		// The initial sample plus one per positive charge.
+		for _, cell := range [][2]int{{1, 1}, {2, 3}} {
+			if n := len(got.watch[cell]); n != 5 {
+				t.Fatalf("cell %v has %d samples, want 5: a drift went unsampled", cell, n)
+			}
+		}
 	}
 }

@@ -87,6 +87,19 @@ func (x *Crossbar) Tick() {
 	}
 }
 
+// TickN advances the clock by n cycles without performing an operation,
+// exactly as n Ticks do. Watched cells are sampled cycle by cycle only
+// when a watch is attached; otherwise the cycles are charged at once.
+func (x *Crossbar) TickN(n int) {
+	if x.watch != nil {
+		for ; n > 0; n-- {
+			x.Tick()
+		}
+		return
+	}
+	x.stats.Cycles += max(n, 0)
+}
+
 // Get reads the logical state of memristor (r,c) without consuming a cycle
 // (observability for tests and models; controller reads use ReadRow).
 func (x *Crossbar) Get(r, c int) bool { return x.mem.Get(r, c) }
