@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/netlist"
 	"repro/internal/synth"
@@ -41,13 +40,7 @@ func main() {
 		mp.GateCycles, mp.RowSize, mp.Latency())
 
 	for _, protected := range []bool{true, false} {
-		var mach *machine.Machine
-		var err error
-		if protected {
-			mach, err = core.NewProtectedMachine(n, 15, 2)
-		} else {
-			mach, err = core.NewBaselineMachine(n)
-		}
+		mach, err := machine.New(machine.Config{N: n, M: 15, K: 2, ECCEnabled: protected})
 		if err != nil {
 			panic(err)
 		}

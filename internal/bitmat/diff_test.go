@@ -2,6 +2,7 @@ package bitmat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,6 +66,20 @@ func TestCopyRangeMatchesReference(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("CopyRange(n=%d, dstLo=%d, srcLo=%d, cnt=%d):\n got %s\nwant %s",
 					n, dstLo, srcLo, cnt, got, want)
+			}
+			// The word-buffer forms make the same copy from and into a
+			// caller's words.
+			fromWords := dst.Clone()
+			fromWords.CopyFromWords(dstLo, src.Words(), srcLo, cnt)
+			if !fromWords.Equal(want) {
+				t.Fatalf("CopyFromWords(n=%d, dstLo=%d, srcLo=%d, cnt=%d):\n got %s\nwant %s",
+					n, dstLo, srcLo, cnt, fromWords, want)
+			}
+			toWords := slices.Clone(dst.Words())
+			src.CopyToWords(toWords, dstLo, srcLo, cnt)
+			if !slices.Equal(toWords, want.Words()) {
+				t.Fatalf("CopyToWords(n=%d, dstLo=%d, srcLo=%d, cnt=%d): got %x, want %x",
+					n, dstLo, srcLo, cnt, toWords, want.Words())
 			}
 		}
 	}

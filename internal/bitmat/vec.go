@@ -415,6 +415,24 @@ func (v *Vec) CopyRange(dstLo int, src *Vec, srcLo, n int) {
 	copyBits(v.w, dstLo, src.w, srcLo, n)
 }
 
+// CopyFromWords copies n bits of the LSB-first word buffer src, starting
+// at bit srcLo, into v starting at dstLo — CopyRange from a caller's words.
+func (v *Vec) CopyFromWords(dstLo int, src []uint64, srcLo, n int) {
+	if n < 0 || srcLo < 0 || srcLo+n > 64*len(src) || dstLo < 0 || dstLo+n > v.n {
+		panic(fmt.Sprintf("bitmat: bad CopyFromWords(%d, src[%d:%d+%d]) into %d", dstLo, srcLo, srcLo, n, v.n))
+	}
+	copyBits(v.w, dstLo, src, srcLo, n)
+}
+
+// CopyToWords copies n bits of v, starting at srcLo, into the LSB-first
+// word buffer dst starting at bit dstLo; the rest of dst is unchanged.
+func (v *Vec) CopyToWords(dst []uint64, dstLo, srcLo, n int) {
+	if n < 0 || srcLo < 0 || srcLo+n > v.n || dstLo < 0 || dstLo+n > 64*len(dst) {
+		panic(fmt.Sprintf("bitmat: bad CopyToWords(dst[%d:%d+%d], %d) of %d", dstLo, dstLo, n, srcLo, v.n))
+	}
+	copyBits(dst, dstLo, v.w, srcLo, n)
+}
+
 // Uint64 returns the low 64 bits of the vector as an integer (bit i of the
 // vector becomes bit i of the result). Vectors longer than 64 bits are
 // truncated.

@@ -28,18 +28,6 @@ func addRCA(b *netlist.Builder, a, x []int, cin int) (sum []int, cout int) {
 	return sum, carry
 }
 
-// incBus adds a single bit into a bus (counter += bit), returning the new
-// bus and carry-out.
-func incBus(b *netlist.Builder, bus []int, bit int) ([]int, int) {
-	out := make([]int, len(bus))
-	carry := bit
-	for i := range bus {
-		out[i] = b.Xor(bus[i], carry)
-		carry = b.And(bus[i], carry)
-	}
-	return out, carry
-}
-
 // muxBus selects a (s=1) or x (s=0) element-wise.
 func muxBus(b *netlist.Builder, s int, a, x []int) []int {
 	if len(a) != len(x) {

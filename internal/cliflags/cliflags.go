@@ -120,7 +120,7 @@ type Traffic struct {
 	Tenants string
 	Admit   int64
 
-	Mixes []serve.TenantMix // valid after Resolve
+	Mixes []serve.TenantMix // valid after ResolveErr
 }
 
 // RegisterTraffic binds -compute, -tenants, and -admit.
@@ -148,14 +148,6 @@ func (t *Traffic) ResolveErr() error {
 	}
 	t.Mixes = mixes
 	return nil
-}
-
-// Resolve is ResolveErr with the CLIs' usage-error behavior.
-func (t *Traffic) Resolve() {
-	if err := t.ResolveErr(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 }
 
 // RegisterSeed binds the -seed flag (default 1 everywhere).

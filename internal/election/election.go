@@ -89,9 +89,6 @@ func (s *State) Restart() {
 // ID returns the node's identifier.
 func (s *State) ID() int64 { return s.id }
 
-// K returns the hearsay lease in rounds.
-func (s *State) K() int { return s.k }
-
 // own reports whether the current belief is the node's own pair.
 func (s *State) own() bool {
 	return s.best == (Pair{Min: s.id, Leader: s.id})
@@ -152,9 +149,6 @@ func (s *State) Leader() int64 { return s.best.Leader }
 // rotation executes each epoch at most once per node regardless of who
 // granted it).
 func (s *State) IsLeader() bool { return s.best.Leader == s.id }
-
-// Best returns the currently believed (min, leader) pair.
-func (s *State) Best() Pair { return s.best }
 
 func (s *State) String() string {
 	return fmt.Sprintf("election{id=%d best=(%d,%d) ttl=%d}", s.id, s.best.Min, s.best.Leader, s.ttl)

@@ -300,22 +300,6 @@ func clampSpan(span, lineLen int) int {
 	return span
 }
 
-// Skewed scales the effective exposure of an inner model by a constant
-// factor — the building block for per-crossbar rate skew, where process
-// variation makes some crossbars see a multiple of the nominal SER.
-type Skewed struct {
-	Inner  Model
-	Factor float64
-}
-
-// Name implements Model.
-func (m Skewed) Name() string { return fmt.Sprintf("skewed(%s,%g)", m.Inner.Name(), m.Factor) }
-
-// Apply implements Model.
-func (m Skewed) Apply(x *xbar.Crossbar, stuck *StuckSet, rng *rand.Rand, hours float64) []Fault {
-	return m.Inner.Apply(x, stuck, rng, hours*m.Factor)
-}
-
 // ModelNames lists the named fault models for CLI usage text. "lines"
 // additionally accepts a span suffix ("lines:<span>", resolved by
 // ModelByName) bounding each line event to that many consecutive cells.

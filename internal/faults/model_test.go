@@ -232,27 +232,6 @@ func TestLineClusterSpansExactlyOneLine(t *testing.T) {
 	}
 }
 
-// TestSkewedScalesExposure: the skew wrapper multiplies effective exposure,
-// so mean injected counts scale with the factor.
-func TestSkewedScalesExposure(t *testing.T) {
-	mean := func(factor float64) float64 {
-		rng := rand.New(rand.NewSource(5))
-		total := 0
-		for i := 0; i < 300; i++ {
-			x := xbar.New(32, 32)
-			total += len(Skewed{Inner: Transient{SER: 1e5}, Factor: factor}.Apply(x, nil, rng, 24))
-		}
-		return float64(total) / 300
-	}
-	m1, m4 := mean(1), mean(4)
-	if m1 <= 0 {
-		t.Fatal("baseline injected nothing")
-	}
-	if ratio := m4 / m1; math.Abs(ratio-4) > 1 {
-		t.Fatalf("skew factor 4 scaled mean by %.2f, want ≈ 4", ratio)
-	}
-}
-
 // TestInjectPoissonPathStatistics is the satellite coverage for the large-
 // population Poisson path of Injector.Inject: on a crossbar big enough to
 // bypass exact binomial sampling, the injected count must match the

@@ -49,9 +49,8 @@ type Config struct {
 	// fleet (write-verify, spare remap, retirement); the zero value is off.
 	Repair repair.Config
 
-	Workers   int   // shard count; <=0 uses GOMAXPROCS, capped at Banks
-	Seed      int64 // campaign base seed
-	BatchSize int   // jobs per channel send; <=0 uses 16
+	Workers int   // shard count; <=0 uses GOMAXPROCS, capped at Banks
+	Seed    int64 // campaign base seed
 
 	// KernelWidth selects the SIMD kernel: a ripple-carry adder of this
 	// width, SIMPLER-mapped into one crossbar row. <=0 uses 8 bits (fits
@@ -65,6 +64,9 @@ type Config struct {
 	// snapshot — like the Result — is identical for every worker count.
 	Telemetry *telemetry.Registry
 }
+
+// jobBatch is the number of jobs per channel send to a shard.
+const jobBatch = 16
 
 // EffectiveWorkers resolves the shard count actually used: Workers,
 // defaulted to GOMAXPROCS and capped at the bank count (a bank is never
@@ -196,10 +198,6 @@ func Run(cfg Config, w Workload) (Result, error) {
 	}
 
 	workers := cfg.EffectiveWorkers()
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 16
-	}
 
 	// bankShard maps each bank to the one shard that owns it.
 	bankShard := make([]int, cfg.Org.Banks)
@@ -228,7 +226,7 @@ func Run(cfg Config, w Workload) (Result, error) {
 	for _, j := range jobs {
 		s := bankShard[j.Bank]
 		pending[s] = append(pending[s], j)
-		if len(pending[s]) >= batch {
+		if len(pending[s]) >= jobBatch {
 			chans[s] <- pending[s]
 			pending[s] = nil
 		}

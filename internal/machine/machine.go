@@ -229,7 +229,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, mem: xbar.New(cfg.N, cfg.N), rowBuf: bitmat.NewVec(cfg.N), oldBuf: bitmat.NewVec(cfg.N)}
 	if cfg.Repair.Enabled() {
-		m.rt = repair.NewTable(cfg.Repair, cfg.N)
+		m.rt = repair.NewTable(cfg.Repair)
 	}
 	if cfg.ECCEnabled {
 		m.spec, _ = ecc.SchemeByName(cfg.SchemeName()) // validated above

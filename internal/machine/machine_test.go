@@ -82,8 +82,8 @@ func TestSIMDExecutionAllRows(t *testing.T) {
 }
 
 // TestBaselineMachineAlsoComputes: an unprotected machine computes in both
-// orientations — also at the M=K=0 geometry core.NewBaselineMachine
-// builds, where no input-check arithmetic may run.
+// orientations — also at the M=K=0 geometry, where no input-check
+// arithmetic may run — and its scrub corrects nothing.
 func TestBaselineMachineAlsoComputes(t *testing.T) {
 	off := testCfg
 	off.ECCEnabled = false
@@ -97,6 +97,10 @@ func TestBaselineMachineAlsoComputes(t *testing.T) {
 		checkAllRows(t, m, mp, inputs)
 		if m.CMEM() != nil {
 			t.Fatal("baseline machine should have no CMEM")
+		}
+		m.InjectDataFault(30, 30)
+		if c, u := m.Scrub(); c != 0 || u != 0 {
+			t.Fatalf("config %+v: baseline scrub corrected=%d uncorrectable=%d, want a no-op", cfg, c, u)
 		}
 
 		mc := MustNew(cfg)
@@ -303,6 +307,9 @@ func TestScrubRepairsIdleData(t *testing.T) {
 	mp := adder8(t)
 	inputs := loadRandomInputs(t, m, mp, 5)
 	_ = inputs
+	if m.CMEM() == nil {
+		t.Fatal("protected machine lacks a CMEM")
+	}
 	before := m.MEM().Snapshot()
 	m.InjectDataFault(30, 30) // outside the input region
 	corrected, unc := m.Scrub()
@@ -311,6 +318,9 @@ func TestScrubRepairsIdleData(t *testing.T) {
 	}
 	if !m.MEM().Snapshot().Equal(before) {
 		t.Fatal("scrub did not restore memory")
+	}
+	if !m.CheckConsistent() {
+		t.Fatal("check bits inconsistent after the scrub's correction")
 	}
 }
 

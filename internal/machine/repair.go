@@ -93,10 +93,6 @@ func (m *Machine) AttachDefects(s *faults.StuckSet) { m.defects = s }
 // Defects returns the attached stuck-cell set (nil when none).
 func (m *Machine) Defects() *faults.StuckSet { return m.defects }
 
-// RepairTable exposes the live repair state, or nil when the repair
-// policy is off.
-func (m *Machine) RepairTable() *repair.Table { return m.rt }
-
 // RepairStats returns the accumulated repair statistics (zero when the
 // policy is off).
 func (m *Machine) RepairStats() repair.Stats {

@@ -224,9 +224,6 @@ func (o Organization) ShardNodes(nodes int) NodeMap {
 // Nodes returns the node count.
 func (m NodeMap) Nodes() int { return len(m.starts) - 1 }
 
-// Org returns the global organization the map shards.
-func (m NodeMap) Org() Organization { return m.org }
-
 // Range returns the contiguous bank range [lo, hi) node i owns.
 func (m NodeMap) Range(node int) (lo, hi int) {
 	return m.starts[node], m.starts[node+1]

@@ -161,22 +161,6 @@ func (n *Netlist) Eval(in []bool) []bool {
 	return out
 }
 
-// Fanout returns, for every node, how many gate operands reference it
-// (primary-output uses are not counted; see FanoutWithOutputs).
-func (n *Netlist) Fanout() []int {
-	f := make([]int, len(n.gates))
-	for _, g := range n.gates {
-		switch g.Op.arity() {
-		case 1:
-			f[g.A]++
-		case 2:
-			f[g.A]++
-			f[g.B]++
-		}
-	}
-	return f
-}
-
 // Levels returns each node's depth (sources at 0), and the circuit depth.
 func (n *Netlist) Levels() ([]int, int) {
 	lv := make([]int, len(n.gates))

@@ -237,22 +237,6 @@ func TestXorLoweringGateBudget(t *testing.T) {
 	}
 }
 
-func TestFanout(t *testing.T) {
-	b := NewBuilder("fan")
-	x, y := b.Input(), b.Input()
-	g := b.And(x, y)
-	b.Output(b.Or(g, x))
-	b.Output(b.Xor(g, y))
-	nl := b.Build()
-	f := nl.Fanout()
-	if f[g] != 2 {
-		t.Fatalf("fanout of shared gate = %d, want 2", f[g])
-	}
-	if f[x] != 2 { // used by And and Or
-		t.Fatalf("fanout of input x = %d, want 2", f[x])
-	}
-}
-
 func TestLevels(t *testing.T) {
 	fa := buildFullAdder()
 	_, depth := fa.Levels()

@@ -1,20 +1,22 @@
 // Package pmem assembles protected crossbars (internal/machine) into a
-// byte-addressable memory following the mMPU organization
-// (internal/mmpu): banks of n×n crossbars, each with its own check bits. It is
-// the level at which the paper's Fig 6 experiment is *performed* rather
-// than modeled: data lives across many crossbars, soft errors arrive per
-// the SER, periodic scrubs run, and the memory either survives (all
-// errors corrected) or reports uncorrectable damage.
+// bit-addressed memory following the mMPU organization (internal/mmpu):
+// banks of n×n crossbars, each with its own check bits. Data is read and
+// written in words of up to 64 bits (a single bit is a width-1 word) and
+// in ranges of any length; a word or range may cross rows, crossbars and
+// banks. It is the level at which the paper's Fig 6 experiment is
+// *performed* rather than modeled: data lives across many crossbars, soft
+// errors arrive per the SER, periodic scrubs run, and the memory either
+// survives (all errors corrected) or reports uncorrectable damage.
 //
 // # Concurrency
 //
 // Memory is safe for concurrent use through its exported access methods:
 // every bank is guarded by its own mutex, so accesses to different banks
 // proceed in parallel (the serving layer's lanes own disjoint banks and
-// never contend) while accesses to the same bank serialize. Range
-// operations spanning several banks lock one bank at a time, segment by
-// segment in ascending address order — each segment is applied
-// atomically, the range as a whole is not. Crossbar hands out the raw machine with no
+// never contend) while accesses to the same bank serialize. Accesses
+// spanning several banks lock one bank at a time, segment by segment in
+// ascending address order — each segment is applied atomically, the
+// access as a whole is not. Crossbar hands out the raw machine with no
 // synchronization; it is for single-threaded setup and inspection only.
 package pmem
 
@@ -136,9 +138,6 @@ func New(cfg Config) (*Memory, error) {
 	if err := cfg.Org.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ECCEnabled && cfg.Org.CrossbarN%cfg.M != 0 {
-		return nil, fmt.Errorf("pmem: block side %d does not divide crossbar side %d", cfg.M, cfg.Org.CrossbarN)
-	}
 	m := &Memory{
 		cfg:   cfg,
 		xbs:   make([]*machine.Machine, cfg.Org.Crossbars()),
@@ -203,18 +202,6 @@ func (m *Memory) checkSpan(bit, nbits int64) error {
 	return nil
 }
 
-// locate maps a flat bit address to (crossbar, bank, row, col).
-func (m *Memory) locate(bit int64) (xb *machine.Machine, bank, row, col int, err error) {
-	if err := m.checkSpan(bit, 1); err != nil {
-		return nil, 0, 0, 0, err
-	}
-	a, err := m.cfg.Org.Locate(bit)
-	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("pmem: locate bit %d: %w", bit, err)
-	}
-	return m.at(a.Bank, a.Crossbar), a.Bank, a.Row, a.Col, nil
-}
-
 // AccessRow locks the owning bank and passes a copy of the addressed
 // crossbar row to fn; if fn reports the row dirty, the row is committed
 // through the protected write path — one ECC delta update for the whole
@@ -261,36 +248,6 @@ func (m *Memory) ExecuteSIMD(bank, xb int, mp *synth.Mapping, rows *bitmat.Vec) 
 	m.ring.Emit(telemetry.EvCompute, int64(mach.MEM().Stats().Cycles),
 		bank, xb, int64(mp.Latency()), int64(mp.CriticalOps()))
 	return nil
-}
-
-// WriteBit stores one bit, keeping the owning crossbar's check bits
-// current (the write path computes ECC, as in conventional memories).
-func (m *Memory) WriteBit(bit int64, v bool) error {
-	xb, bank, row, col, err := m.locate(bit)
-	if err != nil {
-		return err
-	}
-	m.banks[bank].Lock()
-	defer m.banks[bank].Unlock()
-	_, err = xb.UpdateRow(row, func(r *bitmat.Vec) bool {
-		r.Set(col, v)
-		return true
-	})
-	m.probe(bank).writes.Inc()
-	return err
-}
-
-// ReadBit returns one stored bit (no correction on the read path; the
-// scrub and pre-compute checks handle errors, per the paper's model).
-func (m *Memory) ReadBit(bit int64) (bool, error) {
-	xb, bank, row, col, err := m.locate(bit)
-	if err != nil {
-		return false, err
-	}
-	m.banks[bank].Lock()
-	defer m.banks[bank].Unlock()
-	m.probe(bank).reads.Inc()
-	return xb.MEM().Get(row, col), nil
 }
 
 // checkWord validates a word access of the given width.
@@ -354,19 +311,7 @@ func (m *Memory) writeSegments(bit, nbits int64, src []uint64) error {
 		m.banks[s.Bank].Lock()
 		defer m.banks[s.Bank].Unlock()
 		_, err := m.at(s.Bank, s.Crossbar).UpdateRow(s.Row, func(r *bitmat.Vec) bool {
-			for put := 0; put < s.Bits; {
-				k := s.Bits - put
-				if k > 64 {
-					k = 64
-				}
-				j := s.Off + int64(put)
-				w := src[j>>6] >> (uint(j) & 63)
-				if spill := int(uint(j)&63) + k - 64; spill > 0 {
-					w |= src[j>>6+1] << uint(k-spill)
-				}
-				r.SetUint64At(s.Col+put, k, w)
-				put += k
-			}
+			r.CopyFromWords(s.Col, src, int(s.Off), s.Bits)
 			return true
 		})
 		m.probe(s.Bank).writes.Inc()
@@ -379,20 +324,7 @@ func (m *Memory) readSegments(bit, nbits int64, dst []uint64) error {
 	return m.cfg.Org.ForEachSegment(bit, nbits, func(s mmpu.Segment) error {
 		m.banks[s.Bank].Lock()
 		defer m.banks[s.Bank].Unlock()
-		row := m.at(s.Bank, s.Crossbar).MEM().Mat().Row(s.Row)
-		for got := 0; got < s.Bits; {
-			k := s.Bits - got
-			if k > 64 {
-				k = 64
-			}
-			w := row.Uint64At(s.Col+got, k)
-			j := s.Off + int64(got)
-			dst[j>>6] |= w << (uint(j) & 63)
-			if spill := int(uint(j)&63) + k - 64; spill > 0 {
-				dst[j>>6+1] |= w >> uint(k-spill)
-			}
-			got += k
-		}
+		m.at(s.Bank, s.Crossbar).MEM().Mat().Row(s.Row).CopyToWords(dst, int(s.Off), s.Col, s.Bits)
 		m.probe(s.Bank).reads.Inc()
 		return nil
 	})
@@ -402,19 +334,19 @@ func (m *Memory) readSegments(bit, nbits int64, dst []uint64) error {
 // generator (for campaign setup) and returns a verifier closure.
 func (m *Memory) LoadPattern(bits int64, seed int64) (verify func() (bad int64), err error) {
 	// A cheap deterministic pattern: bit i = mixed hash of (i, seed).
-	val := func(i int64) bool {
+	val := func(i int64) uint64 {
 		x := uint64(i)*2654435761 + uint64(seed)
 		x ^= x >> 33
-		return x&1 != 0
+		return x & 1
 	}
 	for i := int64(0); i < bits; i++ {
-		if err := m.WriteBit(i, val(i)); err != nil {
+		if err := m.WriteWord(i, val(i), 1); err != nil {
 			return nil, err
 		}
 	}
 	return func() (bad int64) {
 		for i := int64(0); i < bits; i++ {
-			got, err := m.ReadBit(i)
+			got, err := m.ReadWord(i, 1)
 			if err != nil || got != val(i) {
 				bad++
 			}

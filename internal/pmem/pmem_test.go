@@ -26,16 +26,16 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	addrs := []int64{0, 1, 44, 45, 1000, 45*45 - 1, 45 * 45, 3*45*45 + 17}
 	for i, a := range addrs {
-		if err := m.WriteBit(a, i%2 == 0); err != nil {
+		if err := m.WriteWord(a, uint64(1-i%2), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, a := range addrs {
-		got, err := m.ReadBit(a)
+		got, err := m.ReadWord(a, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != (i%2 == 0) {
+		if (got == 1) != (i%2 == 0) {
 			t.Fatalf("bit %d round trip failed", a)
 		}
 	}
@@ -64,10 +64,10 @@ func TestOutOfRangeAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteBit(m.Config().Org.DataBits(), true); err == nil {
+	if err := m.WriteWord(m.Config().Org.DataBits(), 1, 1); err == nil {
 		t.Fatal("out-of-range write accepted")
 	}
-	if _, err := m.ReadBit(-1); err == nil {
+	if _, err := m.ReadWord(-1, 1); err == nil {
 		t.Fatal("negative read accepted")
 	}
 }
@@ -179,6 +179,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("zero crossbar accepted")
 	}
+	bad = smallCfg(true)
+	bad.M = 0 // reported as an error, not a division by zero
+	if _, err := New(bad); err == nil {
+		t.Fatal("zero block size accepted")
+	}
 }
 
 // TestErrorPaths pins the contract of every validating entry point: out of
@@ -195,9 +200,10 @@ func TestErrorPaths(t *testing.T) {
 		call func() error
 		want error
 	}{
-		{"ReadBit negative", func() error { _, err := m.ReadBit(-1); return err }, ErrRange},
-		{"ReadBit past end", func() error { _, err := m.ReadBit(end); return err }, ErrRange},
-		{"WriteBit past end", func() error { return m.WriteBit(end, true) }, ErrRange},
+		// A single bit is a width-1 word.
+		{"ReadBit negative", func() error { _, err := m.ReadWord(-1, 1); return err }, ErrRange},
+		{"ReadBit past end", func() error { _, err := m.ReadWord(end, 1); return err }, ErrRange},
+		{"WriteBit past end", func() error { return m.WriteWord(end, 1, 1) }, ErrRange},
 		{"ReadWord width 65", func() error { _, err := m.ReadWord(0, 65); return err }, ErrSpan},
 		{"ReadWord negative width", func() error { _, err := m.ReadWord(0, -1); return err }, ErrSpan},
 		{"WriteWord width 65", func() error { return m.WriteWord(0, 1, 65) }, ErrSpan},
@@ -259,9 +265,9 @@ func TestRangeRoundTripAcrossBoundaries(t *testing.T) {
 		if got[i>>6]>>(uint(i)&63)&1 != 0 != want {
 			t.Fatalf("bit %d mismatched after range round trip", i)
 		}
-		b, err := m.ReadBit(start + i)
-		if err != nil || b != want {
-			t.Fatalf("ReadBit(%d) = %v, %v, want %v", start+i, b, err, want)
+		b, err := m.ReadWord(start+i, 1)
+		if err != nil || (b == 1) != want {
+			t.Fatalf("ReadWord(%d, 1) = %v, %v, want %v", start+i, b, err, want)
 		}
 	}
 	// Trailing garbage must not leak into the tail word.

@@ -20,11 +20,12 @@ func TestInstrumentCountsPerBank(t *testing.T) {
 	reg := telemetry.New()
 	mem.Instrument(reg)
 
-	// Bank 0: one bit write + one bit read. Bank 1: a word write.
-	if err := mem.WriteBit(0, true); err != nil {
+	// Bank 0: one bit write + one bit read (width-1 words). Bank 1: a
+	// word write.
+	if err := mem.WriteWord(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mem.ReadBit(0); err != nil {
+	if _, err := mem.ReadWord(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	bank1 := mem.Config().Org.BankBits() // first bit of bank 1
@@ -76,7 +77,7 @@ func TestInstrumentCountsPerBank(t *testing.T) {
 
 	// Detaching restores the uninstrumented path.
 	mem.Instrument(nil)
-	if err := mem.WriteBit(1, true); err != nil {
+	if err := mem.WriteWord(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counter(`pmem_writes_total{bank="0"}`); got != 1 {

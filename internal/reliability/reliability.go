@@ -67,11 +67,6 @@ func (m Model) totalBlocks() float64 {
 	return float64(m.Geometry.NumBlocks()) * float64(m.Org.Crossbars())
 }
 
-// totalBits returns the total vulnerable memristor population.
-func (m Model) totalBits() float64 {
-	return float64(m.blockBits()) * m.totalBlocks()
-}
-
 // logBlockSuccess returns ln P(block accumulates ≤1 error in T hours):
 // ln[(1−p)^B + B·p·(1−p)^(B−1)] = (B−1)·ln(1−p) + ln(1 + (B−1)·p).
 func (m Model) logBlockSuccess(ser float64) float64 {

@@ -15,17 +15,14 @@
 // the laundering can never recur.
 //
 // This package owns the bookkeeping: the repair policy, the per-crossbar
-// spare-allocation table consulted on every row access, and the bounded
-// repeat-offender table that drives scrub-triggered retirement. The
-// physics — re-asserting defects, evicting them once spared
-// (faults.StuckSet.Evict), fixing the committed line — lives in
-// internal/machine, which drives a Table from its write and scrub paths.
+// spare-allocation table, and the bounded repeat-offender table that
+// drives scrub-triggered retirement. The physics — re-asserting defects,
+// evicting them once spared (faults.StuckSet.Evict), fixing the committed
+// line — lives in internal/machine, which drives a Table from its write
+// and scrub paths.
 package repair
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Policy selects how much self-healing the write and scrub paths perform.
 type Policy int
@@ -61,14 +58,14 @@ func (p Policy) String() string {
 // PolicyNames lists the policies for CLI usage text.
 func PolicyNames() []string { return []string{"off", "verify", "verify+spare"} }
 
-// ParsePolicy resolves a -repair flag value.
+// ParsePolicy resolves a -repair flag value: exactly one of PolicyNames.
 func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "off", "false", "none":
+	switch s {
+	case "off":
 		return Off, nil
-	case "verify", "verify-only":
+	case "verify":
 		return Verify, nil
-	case "verify+spare", "spare", "full", "true":
+	case "verify+spare":
 		return VerifySpare, nil
 	}
 	return Off, fmt.Errorf("repair: unknown policy %q (have %v)", s, PolicyNames())
@@ -180,12 +177,8 @@ func (s Stats) Add(o Stats) Stats {
 type Table struct {
 	cfg Config
 
-	// remap records retired cells and the spare each occupies. rowMask is
-	// the per-row "any cell of this row is remapped" bitmap the access
-	// path consults: one word test per row access, so lookup cost stays
-	// O(1) regardless of how many cells were retired.
-	remap   map[[2]int]int
-	rowMask []uint64
+	// remap records retired cells and the spare each occupies.
+	remap map[[2]int]int
 
 	// offenders is the bounded scrub-repeat tracker: counts per cell with
 	// FIFO eviction of the oldest entry once cap is reached, so the order
@@ -196,12 +189,11 @@ type Table struct {
 	stats Stats
 }
 
-// NewTable builds the repair state for one rows-high crossbar.
-func NewTable(cfg Config, rows int) *Table {
+// NewTable builds the repair state for one crossbar.
+func NewTable(cfg Config) *Table {
 	return &Table{
 		cfg:       cfg,
 		remap:     make(map[[2]int]int),
-		rowMask:   make([]uint64, (rows+63)/64),
 		offenders: make(map[[2]int]int),
 	}
 }
@@ -230,16 +222,6 @@ func (t *Table) Retired(r, c int) bool {
 	return ok
 }
 
-// RowRemapped is the per-access remap-table lookup: whether any cell of
-// row r has been spared out. One shift and mask — the cost the E12 design
-// note budgets for consulting the table on every row access.
-func (t *Table) RowRemapped(r int) bool {
-	if w := r >> 6; w >= 0 && w < len(t.rowMask) {
-		return t.rowMask[w]>>(uint(r)&63)&1 != 0
-	}
-	return false
-}
-
 // Retire allocates a spare for cell (r,c). It returns the spare index and
 // true on success; on a duplicate it returns the existing mapping without
 // consuming budget, and with the budget exhausted it returns (-1, false)
@@ -255,9 +237,6 @@ func (t *Table) Retire(r, c int) (spare int, ok bool) {
 	}
 	spare = len(t.remap)
 	t.remap[key] = spare
-	if w := r >> 6; w >= 0 && w < len(t.rowMask) {
-		t.rowMask[w] |= 1 << (uint(r) & 63)
-	}
 	t.stats.Retired++
 	delete(t.offenders, key) // a retired cell needs no further tracking
 	return spare, true

@@ -12,16 +12,18 @@ func TestParsePolicy(t *testing.T) {
 		wantErr bool
 	}{
 		{"off", Off, false},
-		{"", Off, false},
-		{"none", Off, false},
-		{"false", Off, false},
 		{"verify", Verify, false},
-		{"Verify", Verify, false},
-		{"verify-only", Verify, false},
 		{"verify+spare", VerifySpare, false},
-		{"spare", VerifySpare, false},
-		{"true", VerifySpare, false},
-		{" verify+spare ", VerifySpare, false},
+		// Only the PolicyNames spellings parse.
+		{"", Off, true},
+		{"none", Off, true},
+		{"false", Off, true},
+		{"Verify", Off, true},
+		{"verify-only", Off, true},
+		{"spare", Off, true},
+		{"full", Off, true},
+		{"true", Off, true},
+		{" verify+spare ", Off, true},
 		{"bogus", Off, true},
 		{"verify spare", Off, true},
 	}
@@ -75,8 +77,8 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestRetireBudgetAndRemapLookup(t *testing.T) {
-	tbl := NewTable(Config{Policy: VerifySpare, Spares: 2}, 128)
-	if tbl.RowRemapped(7) || tbl.Retired(7, 3) {
+	tbl := NewTable(Config{Policy: VerifySpare, Spares: 2})
+	if tbl.Retired(7, 3) {
 		t.Fatal("fresh table must have no remaps")
 	}
 	if _, ok := tbl.Retire(7, 3); !ok {
@@ -104,16 +106,10 @@ func TestRetireBudgetAndRemapLookup(t *testing.T) {
 	if !tbl.Retired(7, 3) || !tbl.Retired(70, 5) || tbl.Retired(9, 9) {
 		t.Error("Retired lookups wrong")
 	}
-	if !tbl.RowRemapped(7) || !tbl.RowRemapped(70) {
-		t.Error("RowRemapped must cover retired rows")
-	}
-	if tbl.RowRemapped(8) || tbl.RowRemapped(9) || tbl.RowRemapped(71) {
-		t.Error("RowRemapped must not cover untouched rows")
-	}
 }
 
 func TestNoteOffenderThreshold(t *testing.T) {
-	tbl := NewTable(Config{Policy: VerifySpare, RetireAfter: 3}, 64)
+	tbl := NewTable(Config{Policy: VerifySpare, RetireAfter: 3})
 	if tbl.NoteOffender(4, 4) || tbl.NoteOffender(4, 4) {
 		t.Fatal("below threshold must not retire")
 	}
@@ -136,7 +132,7 @@ func TestNoteOffenderThreshold(t *testing.T) {
 }
 
 func TestNoteOffenderVerifyOnlyNeverRetires(t *testing.T) {
-	tbl := NewTable(Config{Policy: Verify, RetireAfter: 1}, 64)
+	tbl := NewTable(Config{Policy: Verify, RetireAfter: 1})
 	for i := 0; i < 5; i++ {
 		if tbl.NoteOffender(1, 1) {
 			t.Fatal("verify-only policy must never request retirement")
@@ -148,7 +144,7 @@ func TestNoteOffenderVerifyOnlyNeverRetires(t *testing.T) {
 }
 
 func TestOffenderTableBounded(t *testing.T) {
-	tbl := NewTable(Config{Policy: VerifySpare, MaxOffenders: 3, RetireAfter: 100}, 64)
+	tbl := NewTable(Config{Policy: VerifySpare, MaxOffenders: 3, RetireAfter: 100})
 	for c := 0; c < 5; c++ {
 		tbl.NoteOffender(0, c)
 	}
@@ -179,7 +175,7 @@ func TestStatsAddCommutative(t *testing.T) {
 }
 
 func TestTableStatsCounters(t *testing.T) {
-	tbl := NewTable(Config{Policy: Verify}, 64)
+	tbl := NewTable(Config{Policy: Verify})
 	tbl.NoteVerifyRead()
 	tbl.NoteVerifyRead()
 	tbl.NoteMismatch()

@@ -11,8 +11,7 @@ import (
 // each gate family on a 512-column (rows) crossbar with every line
 // selected — the configuration where the hardware does 512 gates in one
 // cycle and the simulator should do ~8 word operations, not 512 bit
-// round-trips. Tracing and watches are off, so these paths must also be
-// allocation-free.
+// round-trips. These paths must also be allocation-free.
 func BenchmarkXbarGates(b *testing.B) {
 	const n = 512
 	rng := rand.New(rand.NewSource(1))

@@ -2,7 +2,6 @@ package xbar
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -182,9 +181,8 @@ func TestGatesMatchBitSerialReference(t *testing.T) {
 	checkState(t, x, ref, 2000)
 }
 
-// TestGateExecutionZeroAllocs proves the satellite requirement: with
-// tracing and watches disabled, every gate/init/write path performs zero
-// heap allocations per operation.
+// TestGateExecutionZeroAllocs: every gate, init, write and tick path
+// performs zero heap allocations per operation.
 func TestGateExecutionZeroAllocs(t *testing.T) {
 	const n = 256
 	x := New(n, n)
@@ -209,76 +207,22 @@ func TestGateExecutionZeroAllocs(t *testing.T) {
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
-			t.Errorf("%s: %v allocs/op with tracing disabled, want 0", name, allocs)
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
-	}
-}
-
-// TestReadRowSamplesWatches covers the observability fix: a watched cell
-// whose value changes must be sampled when the only subsequent
-// cycle-consuming operation is a read.
-func TestReadRowSamplesWatches(t *testing.T) {
-	x := New(4, 4)
-	x.WatchCell(1, 1)
-	x.Set(1, 1, true) // drift the cell without consuming a cycle
-	x.ReadRow(1)      // read-heavy schedule: only reads consume cycles
-
-	hist := x.watch[[2]int{1, 1}]
-	if len(hist) != 2 {
-		t.Fatalf("watch history has %d samples, want 2 (initial + read-cycle sample)", len(hist))
-	}
-	if !hist[1].val {
-		t.Fatal("read-cycle sample did not capture the drifted value")
 	}
 }
 
 // TestTickNMatchesTicks: TickN(n) leaves the same statistics as n Ticks,
-// for zero and negative n too, and with watches attached the same
-// waveform, down to the cycle each drifted cell is sampled at.
+// for zero and negative n too.
 func TestTickNMatchesTicks(t *testing.T) {
-	for _, watched := range []bool{false, true} {
-		got, want := New(4, 4), New(4, 4)
-		if watched {
-			for _, x := range []*Crossbar{got, want} {
-				x.WatchCell(1, 1)
-				x.WatchCell(2, 3)
-			}
+	got, want := New(4, 4), New(4, 4)
+	for step, n := range []int{3, 0, 1, -2, 7, 30} {
+		got.TickN(n)
+		for k := 0; k < n; k++ {
+			want.Tick()
 		}
-		for step, n := range []int{3, 0, 1, -2, 7, 30} {
-			// Drift the watched cells before each positive charge without
-			// consuming a cycle, so its first cycle has a change to sample.
-			if n > 0 {
-				for _, x := range []*Crossbar{got, want} {
-					x.Flip(1, 1)
-					x.Flip(2, 3)
-				}
-			}
-			got.TickN(n)
-			for k := 0; k < n; k++ {
-				want.Tick()
-			}
-			if got.Stats() != want.Stats() {
-				t.Fatalf("watched=%v step %d: TickN(%d) left %+v, %d Ticks %+v", watched, step, n, got.Stats(), n, want.Stats())
-			}
-		}
-		if !watched {
-			continue
-		}
-		var g, w strings.Builder
-		if err := got.WriteVCD(&g, "m"); err != nil {
-			t.Fatal(err)
-		}
-		if err := want.WriteVCD(&w, "m"); err != nil {
-			t.Fatal(err)
-		}
-		if g.String() != w.String() {
-			t.Fatalf("TickN waveform:\n%s\nTick waveform:\n%s", g.String(), w.String())
-		}
-		// The initial sample plus one per positive charge.
-		for _, cell := range [][2]int{{1, 1}, {2, 3}} {
-			if n := len(got.watch[cell]); n != 5 {
-				t.Fatalf("cell %v has %d samples, want 5: a drift went unsampled", cell, n)
-			}
+		if got.Stats() != want.Stats() {
+			t.Fatalf("step %d: TickN(%d) left %+v, %d Ticks %+v", step, n, got.Stats(), n, want.Stats())
 		}
 	}
 }

@@ -58,14 +58,6 @@ func (x *Crossbar) XOR3Cols(base int, cols *bitmat.Vec) {
 	x.NORCols(r(xor3RowT5), r(xor3RowT6), r(XOR3RowOut), cols)
 }
 
-// XOR2Cols computes out = XOR(row a, row b) across the selected columns in
-// a strip at base (uses the same 11-row layout with input c zeroed; XOR3
-// with c=0 is XOR2). Callers must ensure row base+XOR3RowC is all zeros in
-// the selected columns, e.g. via ClearRowInCols.
-func (x *Crossbar) XOR2Cols(base int, cols *bitmat.Vec) {
-	x.XOR3Cols(base, cols)
-}
-
 // ClearRowInCols force-writes zeros into row r at the selected columns via
 // the write drivers (one cycle).
 func (x *Crossbar) ClearRowInCols(r int, cols *bitmat.Vec) {
@@ -82,23 +74,4 @@ func (x *Crossbar) ClearRowInCols(r int, cols *bitmat.Vec) {
 			ir.Set(c, false)
 		}
 	}
-	if x.watch != nil {
-		x.sampleWatches()
-	}
-}
-
-// CopyRowToRow copies src row to dst row across the selected columns using
-// two MAGIC NOT gates (copy = NOT(NOT(x))) through an intermediate row.
-// Costs one init cycle plus two NOT cycles.
-func (x *Crossbar) CopyRowToRow(src, tmp, dst int, cols *bitmat.Vec) {
-	x.InitRowsInCols([]int{tmp, dst}, cols)
-	x.NOTCols(src, tmp, cols)
-	x.NOTCols(tmp, dst, cols)
-}
-
-// NOTRowInto computes dst = NOT(src) across the selected columns, spending
-// an init cycle then the NOT cycle.
-func (x *Crossbar) NOTRowInto(src, dst int, cols *bitmat.Vec) {
-	x.InitRowsInCols([]int{dst}, cols)
-	x.NOTCols(src, dst, cols)
 }

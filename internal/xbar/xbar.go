@@ -39,8 +39,6 @@ type Crossbar struct {
 	init       *bitmat.Mat // which cells are initialized (LRS) and unconsumed
 	strict     bool
 	stats      Stats
-	trace      *traceRing          // nil unless EnableTrace was called
-	watch      map[[2]int][]sample // nil unless WatchCell was called
 
 	// Scratch vectors for word-parallel gate execution; owned by the
 	// crossbar so the hot paths are allocation-free. A crossbar is not
@@ -80,25 +78,11 @@ func (x *Crossbar) ResetStats() { x.stats = Stats{} }
 
 // Tick advances the clock by one cycle without performing an operation
 // (used to model stalls imposed by an external controller).
-func (x *Crossbar) Tick() {
-	x.stats.Cycles++
-	if x.watch != nil {
-		x.sampleWatches()
-	}
-}
+func (x *Crossbar) Tick() { x.stats.Cycles++ }
 
 // TickN advances the clock by n cycles without performing an operation,
-// exactly as n Ticks do. Watched cells are sampled cycle by cycle only
-// when a watch is attached; otherwise the cycles are charged at once.
-func (x *Crossbar) TickN(n int) {
-	if x.watch != nil {
-		for ; n > 0; n-- {
-			x.Tick()
-		}
-		return
-	}
-	x.stats.Cycles += max(n, 0)
-}
+// exactly as n Ticks do (n ≤ 0 charges nothing).
+func (x *Crossbar) TickN(n int) { x.stats.Cycles += max(n, 0) }
 
 // Get reads the logical state of memristor (r,c) without consuming a cycle
 // (observability for tests and models; controller reads use ReadRow).
@@ -159,12 +143,6 @@ func (x *Crossbar) InitColumnsInRows(cols []int, rows *bitmat.Vec) {
 		mr.Or(mr, x.colFill)
 		ir.Or(ir, x.colFill)
 	}
-	if x.trace != nil {
-		x.record(OpInit, -1, -1, -1, rows)
-	}
-	if x.watch != nil {
-		x.sampleWatches()
-	}
 }
 
 // InitRowsInCols initializes the memristors at the given row indices in
@@ -186,12 +164,6 @@ func (x *Crossbar) InitRowsInCols(rowIdx []int, cols *bitmat.Vec) {
 			}
 		}
 	}
-	if x.trace != nil {
-		x.record(OpInit, -1, -1, -1, cols)
-	}
-	if x.watch != nil {
-		x.sampleWatches()
-	}
 }
 
 // --- In-row gates (parallel across rows, Fig 1a) ---------------------------
@@ -209,12 +181,6 @@ func (x *Crossbar) NORRows(a, b, out int, rows *bitmat.Vec) {
 	for r := rows.NextOne(0); r >= 0; r = rows.NextOne(r + 1) {
 		x.gateRow(r, a, b, out)
 	}
-	if x.trace != nil {
-		x.record(OpNORRows, a, b, out, rows)
-	}
-	if x.watch != nil {
-		x.sampleWatches()
-	}
 }
 
 // NOTRows executes out = NOT(a) within each selected row. In MAGIC, NOT is
@@ -226,12 +192,6 @@ func (x *Crossbar) NOTRows(a, out int, rows *bitmat.Vec) {
 	x.stats.NORs++
 	for r := rows.NextOne(0); r >= 0; r = rows.NextOne(r + 1) {
 		x.gateRow(r, a, a, out)
-	}
-	if x.trace != nil {
-		x.record(OpNOTRows, a, -1, out, rows)
-	}
-	if x.watch != nil {
-		x.sampleWatches()
 	}
 }
 
@@ -252,12 +212,6 @@ func (x *Crossbar) NORCols(a, b, out int, cols *bitmat.Vec) {
 	x.stats.Cycles++
 	x.stats.NORs++
 	x.gateCols(a, b, out, cols)
-	if x.trace != nil {
-		x.record(OpNORCols, a, b, out, cols)
-	}
-	if x.watch != nil {
-		x.sampleWatches()
-	}
 }
 
 // NOTCols executes out = NOT(a) within each selected column.
@@ -267,12 +221,6 @@ func (x *Crossbar) NOTCols(a, out int, cols *bitmat.Vec) {
 	x.stats.Cycles++
 	x.stats.NORs++
 	x.gateCols(a, a, out, cols)
-	if x.trace != nil {
-		x.record(OpNOTCols, a, -1, out, cols)
-	}
-	if x.watch != nil {
-		x.sampleWatches()
-	}
 }
 
 // gateCols executes out-row = NOR(row a, row b) in every column selected by
@@ -336,14 +284,6 @@ func (x *Crossbar) ReadRow(r int) *bitmat.Vec {
 	x.checkRow(r)
 	x.stats.Cycles++
 	x.stats.Reads++
-	if x.trace != nil {
-		x.record(OpRead, -1, -1, r, nil)
-	}
-	// Reads consume a cycle like any other operation, so watched cells
-	// must be sampled here too or read-heavy schedules lose VCD samples.
-	if x.watch != nil {
-		x.sampleWatches()
-	}
 	return x.mem.Row(r).Clone()
 }
 
@@ -353,14 +293,8 @@ func (x *Crossbar) WriteRow(r int, v *bitmat.Vec) {
 	x.checkRow(r)
 	x.stats.Cycles++
 	x.stats.Writes++
-	if x.trace != nil {
-		x.record(OpWrite, -1, -1, r, nil)
-	}
 	x.mem.SetRow(r, v)
 	x.init.Row(r).Zero()
-	if x.watch != nil {
-		x.sampleWatches()
-	}
 }
 
 // Write stores a single bit through the write drivers (one cycle).
@@ -371,9 +305,6 @@ func (x *Crossbar) Write(r, c int, b bool) {
 	x.stats.Writes++
 	x.mem.Set(r, c, b)
 	x.init.Set(r, c, false)
-	if x.watch != nil {
-		x.sampleWatches()
-	}
 }
 
 func (x *Crossbar) checkRow(r int) {

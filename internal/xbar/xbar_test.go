@@ -204,6 +204,7 @@ func TestXOR3ColsWideProperty(t *testing.T) {
 	}
 }
 
+// TestXOR2ViaXOR3: XOR3 with input c cleared to zero is XOR2.
 func TestXOR2ViaXOR3(t *testing.T) {
 	x := New(XOR3WorkRows, 4)
 	for c := 0; c < 4; c++ {
@@ -211,39 +212,12 @@ func TestXOR2ViaXOR3(t *testing.T) {
 		x.Set(XOR3RowB, c, c&2 != 0)
 	}
 	x.ClearRowInCols(XOR3RowC, x.AllCols())
-	x.XOR2Cols(0, x.AllCols())
+	x.XOR3Cols(0, x.AllCols())
 	for c := 0; c < 4; c++ {
 		want := (c&1 != 0) != (c&2 != 0)
 		if x.Get(XOR3RowOut, c) != want {
 			t.Fatalf("XOR2 col %d = %v, want %v", c, x.Get(XOR3RowOut, c), want)
 		}
-	}
-}
-
-func TestCopyRowToRow(t *testing.T) {
-	x := New(4, 50)
-	rng := rand.New(rand.NewSource(9))
-	x.Mat().Randomize(rng)
-	src := x.Mat().Row(0).Clone()
-	x.CopyRowToRow(0, 1, 2, x.AllCols())
-	if !x.Mat().Row(2).Equal(src) {
-		t.Fatal("CopyRowToRow did not copy")
-	}
-	if x.Stats().NORs != 2 {
-		t.Fatalf("copy used %d NOR cycles, want 2 (double NOT)", x.Stats().NORs)
-	}
-}
-
-func TestNOTRowInto(t *testing.T) {
-	x := New(3, 20)
-	rng := rand.New(rand.NewSource(4))
-	x.Mat().Randomize(rng)
-	src := x.Mat().Row(0).Clone()
-	x.NOTRowInto(0, 2, x.AllCols())
-	want := bitmat.NewVec(20)
-	want.Not(src)
-	if !x.Mat().Row(2).Equal(want) {
-		t.Fatal("NOTRowInto incorrect")
 	}
 }
 
