@@ -62,7 +62,7 @@ func main() {
 func run() int {
 	fs := flag.NewFlagSet("fleetgw", flag.ExitOnError)
 	var g cliflags.Geometry
-	cliflags.RegisterGeometry(fs, &g, cliflags.Geometry{N: 45, M: 15, K: 2, Banks: 8, PerBank: 2})
+	cliflags.RegisterOrganization(fs, &g, cliflags.Geometry{N: 45, Banks: 8, PerBank: 2})
 	var seed int64
 	cliflags.RegisterSeed(fs, &seed, "workload seed")
 	peers := fs.String("peers", "", "comma-separated node addresses in node order")

@@ -29,9 +29,16 @@ type Geometry struct {
 
 // RegisterGeometry binds the geometry flags with the CLI's defaults.
 func RegisterGeometry(fs *flag.FlagSet, g *Geometry, def Geometry) {
-	fs.IntVar(&g.N, "n", def.N, "crossbar side (multiple of m)")
+	RegisterOrganization(fs, g, def)
 	fs.IntVar(&g.M, "m", def.M, "ECC block side (odd)")
 	fs.IntVar(&g.K, "k", def.K, "processing crossbars per machine")
+}
+
+// RegisterOrganization binds only the organization flags (-n, -banks,
+// -perbank), for a CLI that builds no machine and so has no use for -m
+// or -k.
+func RegisterOrganization(fs *flag.FlagSet, g *Geometry, def Geometry) {
+	fs.IntVar(&g.N, "n", def.N, "crossbar side (multiple of m)")
 	fs.IntVar(&g.Banks, "banks", def.Banks, "number of banks")
 	fs.IntVar(&g.PerBank, "perbank", def.PerBank, "crossbars per bank")
 }

@@ -4,6 +4,13 @@
 // protocol, and the controller behaviors (input checking before execution,
 // periodic scrubbing, single-error correction).
 //
+// One executor (execute) runs a mapping in either MAGIC orientation:
+// across rows (ExecuteSIMD, Fig 1a) or across columns (ExecuteSIMDCols,
+// Fig 1b). Its step carries every output write through the
+// critical-operation protocol, and blockLines names the block lines it
+// checks before a run and rebuilds after it — the same lines ComputeCost
+// charges for.
+//
 // The check bits of every code, the paper's diagonal one included, live
 // in one ecc.Scheme. The gate-level CMEM of Fig 4 (internal/cmem) is the
 // spec this path is tested against; the diagonal code is still charged
@@ -62,40 +69,28 @@ func (cfg Config) SchemeName() string {
 // serving layer's virtual-time replay charges per compute request. It
 // counts only cycles during which the data crossbar itself is busy
 // (grounded in the cmem pipeline constants): the mapping's own latency,
-// plus with ECC enabled the pre-execution input checks (one block-line
-// check per input block-column, CheckLineMEMCycles each per block row),
-// the per-critical-op update reads (the scheme's LineUpdateReads hook;
-// the diagonal code's 2 is CriticalUpdateMEMCycles, the old/new
-// transfers, because its XOR3 fold runs in the PC pipeline), and the
-// post-execution working-region reconcile (every working block-column's
-// check bits rebuilt from the image).
+// plus with ECC enabled the pre-execution input checks and the
+// post-execution working-region rebuild over the block columns
+// blockLines names for a row-parallel pipeline (CheckLineMEMCycles per
+// block of each), and the per-critical-op update reads (the scheme's
+// LineUpdateReads hook; the diagonal code's 2 is CriticalUpdateMEMCycles,
+// the old/new transfers, because its XOR3 fold runs in the PC pipeline).
+// An unknown scheme widens no block columns and pays
+// CriticalUpdateMEMCycles per critical op.
 func (cfg Config) ComputeCost(mp *synth.Mapping) int64 {
 	cost := int64(mp.Latency())
 	if !cfg.ECCEnabled {
 		return cost
 	}
-	m := cfg.M
-	blocks := cfg.N / m
-	inputBlocks := (mp.Netlist.NumInputs() + m - 1) / m
-	upd := int64(cmem.CriticalUpdateMEMCycles)
-	firstBC := mp.Netlist.NumInputs() / m
-	lastBC := (mp.RowSize - 1) / m
-	inputSpan := inputBlocks
+	var sch ecc.Scheme
+	upd := cmem.CriticalUpdateMEMCycles
 	if spec, err := ecc.SchemeByName(cfg.SchemeName()); err == nil {
-		sch := spec.New(ecc.Params{N: cfg.N, M: m}, nil)
-		upd = int64(sch.LineUpdateReads(1))
-		// Striped codes check/reconcile whole column groups, so the
-		// charged spans widen to the scheme's home-column envelope.
-		if inputBlocks > 0 {
-			f, l := sch.HomeColumns(0, inputBlocks-1)
-			inputSpan = l - f + 1
-		}
-		firstBC, lastBC = sch.HomeColumns(firstBC, lastBC)
+		sch = spec.New(ecc.Params{N: cfg.N, M: cfg.M}, nil)
+		upd = sch.LineUpdateReads(1)
 	}
-	cost += int64(inputSpan * blocks * cmem.CheckLineMEMCycles(m))
-	cost += int64(mp.CriticalOps()) * upd
-	cost += int64((lastBC - firstBC + 1) * blocks * cmem.CheckLineMEMCycles(m))
-	return cost
+	in, work := blockLines(sch, cfg.M, mp, shifter.RowParallel)
+	lineCheck := cfg.N / cfg.M * cmem.CheckLineMEMCycles(cfg.M)
+	return cost + int64((in.hi-in.lo+work.hi-work.lo)*lineCheck+mp.CriticalOps()*upd)
 }
 
 // Machine is one crossbar plus its check bits.
@@ -512,37 +507,78 @@ func (m *Machine) Scrub() (corrected, uncorrectable int) {
 // With ECC enabled the controller first checks every block-column that
 // holds function inputs (correcting single soft errors), then executes,
 // wrapping every output-writing step in the critical-operation protocol
-// so the check bits stay in sync.
+// so the check bits stay in sync (see execute).
 func (m *Machine) ExecuteSIMD(mp *synth.Mapping, rows *bitmat.Vec) error {
-	if mp.RowSize > m.cfg.N {
-		return fmt.Errorf("machine: mapping needs %d cells, crossbar row has %d", mp.RowSize, m.cfg.N)
+	return m.execute(shifter.RowParallel, mp, rows)
+}
+
+// span is a half-open range [lo, hi) of block lines.
+type span struct{ lo, hi int }
+
+// blockLines names the block lines a protected pipeline of orientation o
+// checks before it runs (in: those holding cells [0, NumInputs)) and
+// rebuilds after it (work: those holding the working cells
+// [NumInputs, RowSize)) — block columns for a row-parallel pipeline,
+// block rows for a column-parallel one. Units are addressed by home
+// block, and a striped code homes the units covering a block column
+// across its whole column group, so HomeColumns widens block columns to
+// every unit that covers them; no code's unit spans block rows, so those
+// are never widened. A nil sch (ComputeCost's unknown scheme) widens
+// nothing.
+func blockLines(sch ecc.Scheme, m int, mp *synth.Mapping, o shifter.Orientation) (in, work span) {
+	in = span{0, (mp.Netlist.NumInputs() + m - 1) / m}
+	work = span{mp.Netlist.NumInputs() / m, (mp.RowSize-1)/m + 1}
+	if sch == nil || o != shifter.RowParallel {
+		return in, work
 	}
+	if in.hi > 0 {
+		f, l := sch.HomeColumns(in.lo, in.hi-1)
+		in = span{f, l + 1}
+	}
+	f, l := sch.HomeColumns(work.lo, work.hi-1)
+	return in, span{f, l + 1}
+}
+
+// execute is the one protected SIMD executor behind ExecuteSIMD
+// (RowParallel: each selected row is a lane and a cell is a column) and
+// ExecuteSIMDCols (ColParallel: each selected column is a lane and a cell
+// is a row). With ECC enabled it checks and corrects the input block
+// lines, runs every step through step, and rebuilds the working block
+// lines (blockLines names both).
+//
+// The rebuild is needed because the paper keeps the ECC current only for
+// output-writing (critical) operations and leaves intermediate cells
+// uncovered ("left for future work"): after execution they hold dead
+// values whose blocks' check bits are stale, so the controller recomputes
+// those check bits from the memory image before the region is treated as
+// protected data again. Output blocks were kept in sync by the critical
+// protocol; recomputing them is idempotent. A unit straddling the region
+// boundary has no narrower sound rebuild (the striped codes' docs note
+// that scratch regions are best allocated group-aligned).
+func (m *Machine) execute(o shifter.Orientation, mp *synth.Mapping, sel *bitmat.Vec) error {
+	if mp.RowSize > m.cfg.N {
+		return fmt.Errorf("machine: mapping needs %d cells, crossbar %s has %d",
+			mp.RowSize, [...]string{"row", "column"}[o], m.cfg.N)
+	}
+	var in, work span // empty for the unprotected baseline
 	if m.Protected() {
-		// Check (and correct) every code unit covering the input columns.
-		// Units are addressed by home block; striped codes home the
-		// covering units across the whole enclosing column group, so the
-		// sweep must go through HomeColumns — checking only the input
-		// block-columns would miss units whose home lies beyond them.
-		inputBlocks := (mp.Netlist.NumInputs() + m.cfg.M - 1) / m.cfg.M
-		if inputBlocks > 0 {
-			first, last := m.sch.HomeColumns(0, inputBlocks-1)
-			for bc := first; bc <= last; bc++ {
-				m.inputCheck(shifter.RowParallel, bc)
+		in, work = blockLines(m.sch, m.cfg.M, mp, o)
+	}
+	for i := in.lo; i < in.hi; i++ {
+		m.inputCheck(o, i)
+	}
+	for _, s := range mp.Steps {
+		m.step(o, s, sel)
+	}
+	for i := work.lo; i < work.hi; i++ {
+		for j := 0; j < m.cfg.N/m.cfg.M; j++ {
+			if o == shifter.RowParallel {
+				m.sch.RebuildBlock(m.mem.Mat(), j, i)
+			} else {
+				m.sch.RebuildBlock(m.mem.Mat(), i, j)
 			}
 		}
 	}
-
-	for _, s := range mp.Steps {
-		switch s.Kind {
-		case synth.StepInit:
-			m.mem.InitColumnsInRows(s.Init, rows)
-		case synth.StepConst:
-			m.writeColumn(s.Cell, s.Value, rows, s.Critical)
-		case synth.StepGate:
-			m.gate(s, rows)
-		}
-	}
-	m.reconcileWorkingRegion(mp)
 	return nil
 }
 
@@ -554,52 +590,62 @@ func (m *Machine) inputCheck(o shifter.Orientation, idx int) {
 	m.checkLine(nil, o, idx)
 }
 
-// reconcileWorkingRegion re-establishes check bits over the block-columns
-// the function's working cells occupy. The paper keeps the ECC current
-// only for output-writing (critical) operations and leaves intermediate
-// cells uncovered ("left for future work"); after execution the
-// intermediate cells hold dead values whose blocks' parity is stale, so
-// the controller recomputes those check bits from the memory image before
-// the region is treated as protected data again. Output blocks were kept
-// in sync by the critical protocol; recomputing them is idempotent.
-func (m *Machine) reconcileWorkingRegion(mp *synth.Mapping) {
-	if !m.Protected() {
+// step runs one pipeline step over the selected lanes; the orientation
+// picks only the xbar primitive and which line the step writes (column
+// s.Cell for RowParallel, row s.Cell for ColParallel). A critical step
+// (one writing a primary output) runs through the critical-operation
+// protocol: the written line is copied out before and after the step,
+// each copy one MEM cycle, and criticalUpdate folds the difference into
+// the check bits.
+func (m *Machine) step(o shifter.Orientation, s synth.Step, sel *bitmat.Vec) {
+	rows := o == shifter.RowParallel
+	if s.Kind == synth.StepInit {
+		if rows {
+			m.mem.InitColumnsInRows(s.Init, sel)
+		} else {
+			m.mem.InitRowsInCols(s.Init, sel)
+		}
 		return
 	}
-	// Every unit whose coverage intersects the working columns is stale
-	// and must be rebuilt; HomeColumns names exactly those units' home
-	// blocks. For striped codes this widens the sweep to the enclosing
-	// column group — a unit straddling the region boundary has no
-	// narrower sound rebuild (the scheme docs note that scratch regions
-	// are best allocated group-aligned).
-	firstBC := mp.Netlist.NumInputs() / m.cfg.M
-	lastBC := (mp.RowSize - 1) / m.cfg.M
-	firstBC, lastBC = m.sch.HomeColumns(firstBC, lastBC)
-	for bc := firstBC; bc <= lastBC; bc++ {
-		for br := 0; br < m.cfg.N/m.cfg.M; br++ {
-			m.sch.RebuildBlock(m.mem.Mat(), br, bc)
-		}
-	}
-}
-
-// gate executes one (possibly critical) MAGIC step.
-func (m *Machine) gate(s synth.Step, rows *bitmat.Vec) {
 	critical := s.Critical && m.Protected()
 	var old *bitmat.Vec
 	if critical {
-		old = m.mem.Mat().Col(s.Cell)
+		old = m.line(o, s.Cell)
 		m.mem.Tick() // copy-old transfer occupies MEM
 	}
-	if s.IsNot {
-		m.mem.NOTRows(s.A, s.Cell, rows)
-	} else {
-		m.mem.NORRows(s.A, s.B, s.Cell, rows)
+	switch {
+	case s.Kind == synth.StepConst:
+		for i := sel.NextOne(0); i >= 0; i = sel.NextOne(i + 1) {
+			if rows {
+				m.mem.Set(i, s.Cell, s.Value)
+			} else {
+				m.mem.Set(s.Cell, i, s.Value)
+			}
+		}
+		m.mem.Tick() // one write-driver cycle
+	case rows && s.IsNot:
+		m.mem.NOTRows(s.A, s.Cell, sel)
+	case rows:
+		m.mem.NORRows(s.A, s.B, s.Cell, sel)
+	case s.IsNot:
+		m.mem.NOTCols(s.A, s.Cell, sel)
+	default:
+		m.mem.NORCols(s.A, s.B, s.Cell, sel)
 	}
 	if critical {
-		newCol := m.mem.Mat().Col(s.Cell)
+		cur := m.line(o, s.Cell)
 		m.mem.Tick() // copy-new transfer occupies MEM
-		m.criticalUpdate(shifter.RowParallel, s.Cell, old, newCol, rows)
+		m.criticalUpdate(o, s.Cell, old, cur, sel)
 	}
+}
+
+// line copies the line a step of orientation o writes: column idx for
+// RowParallel, row idx for ColParallel.
+func (m *Machine) line(o shifter.Orientation, idx int) *bitmat.Vec {
+	if o == shifter.RowParallel {
+		return m.mem.Mat().Col(idx)
+	}
+	return m.mem.Mat().Row(idx).Clone()
 }
 
 // criticalUpdate commits one critical operation's check-bit delta — the
@@ -615,25 +661,6 @@ func (m *Machine) criticalUpdate(o shifter.Orientation, index int, old, cur, sel
 	m.criticalOps++
 	m.tel.CriticalOps.Inc()
 	m.tel.UpdateReads.Add(m.updateReads)
-}
-
-// writeColumn drives a constant into column c of every selected row.
-func (m *Machine) writeColumn(c int, v bool, rows *bitmat.Vec, criticalStep bool) {
-	critical := criticalStep && m.Protected()
-	var old *bitmat.Vec
-	if critical {
-		old = m.mem.Mat().Col(c)
-		m.mem.Tick()
-	}
-	for r := rows.NextOne(0); r >= 0; r = rows.NextOne(r + 1) {
-		m.mem.Set(r, c, v)
-	}
-	m.mem.Tick() // one write-driver cycle
-	if critical {
-		newCol := m.mem.Mat().Col(c)
-		m.mem.Tick()
-		m.criticalUpdate(shifter.RowParallel, c, old, newCol, rows)
-	}
 }
 
 // ReadOutputs returns the function outputs computed in row r.

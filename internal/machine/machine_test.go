@@ -1,11 +1,15 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bitmat"
+	"repro/internal/circuits"
 	"repro/internal/ecc"
 	"repro/internal/netlist"
 	"repro/internal/shifter"
@@ -657,5 +661,40 @@ func TestUpdateRowZeroAllocs(t *testing.T) {
 	}
 	if !m.CheckConsistent() {
 		t.Fatal("check bits stale after the allocation-free writes")
+	}
+}
+
+// TestComputeCostTable pins Config.ComputeCost, the modeled MEM cost the
+// replay clock and both ComputeAdmit budgets charge per compute, for
+// every Table I circuit that maps into n ∈ {60, 90}, under every
+// registered scheme that validates there and with ECC off ("none").
+// testdata/compute_cost.txt holds one "n circuit scheme cost" line per
+// configuration.
+func TestComputeCostTable(t *testing.T) {
+	var got strings.Builder
+	for _, n := range []int{60, 90} {
+		for _, bm := range circuits.All() {
+			mp, err := synth.MapWith(bm.Build().LowerToNOR(), n, synth.Opts{ReuseInputs: bm.ReuseInputs})
+			if err != nil {
+				continue // does not fit this row
+			}
+			for _, scheme := range append([]string{"none"}, ecc.SchemeNames()...) {
+				cfg := Config{N: n, M: 15, K: 2}
+				if scheme != "none" {
+					cfg.ECCEnabled, cfg.Scheme = true, scheme
+				}
+				if cfg.Validate() != nil {
+					continue
+				}
+				fmt.Fprintf(&got, "%d %s %s %d\n", n, bm.Name, scheme, cfg.ComputeCost(mp))
+			}
+		}
+	}
+	want, err := os.ReadFile("testdata/compute_cost.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("ComputeCost differs from testdata/compute_cost.txt; got:\n%s", got.String())
 	}
 }

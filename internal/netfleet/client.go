@@ -98,8 +98,6 @@ func (lc *liveConn) isDead() bool {
 // connOpts are the per-node transport knobs, defaulted by FleetConfig.
 type connOpts struct {
 	window        int
-	dialTimeout   time.Duration
-	callTimeout   time.Duration
 	retryDeadline time.Duration
 }
 
@@ -131,7 +129,7 @@ func (c *nodeConn) live() (*liveConn, uint64, error) {
 		return nil, 0, ErrFleetClosed
 	}
 	if c.lc == nil || c.lc.isDead() {
-		conn, err := net.DialTimeout("tcp", c.addr, c.opts.dialTimeout)
+		conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -173,7 +171,7 @@ func (c *nodeConn) attempt(typ byte, payload []byte) (byte, []byte, error) {
 		lc.fail(err)
 		return 0, nil, err
 	}
-	t := time.NewTimer(c.opts.callTimeout)
+	t := time.NewTimer(callTimeout)
 	defer t.Stop()
 	select {
 	case r := <-ch:
@@ -182,7 +180,7 @@ func (c *nodeConn) attempt(typ byte, payload []byte) (byte, []byte, error) {
 		}
 		return r.typ, r.payload, nil
 	case <-t.C:
-		err := fmt.Errorf("netfleet: %s did not answer within %s", c.addr, c.opts.callTimeout)
+		err := fmt.Errorf("netfleet: %s did not answer within %s", c.addr, callTimeout)
 		lc.fail(err)
 		return 0, nil, err
 	}

@@ -25,14 +25,17 @@ type FleetConfig struct {
 	BatchSize int
 	Window    int
 
-	// DialTimeout bounds one connection attempt (default 1s).
-	// CallTimeout bounds one request round-trip (default 10s).
 	// RetryDeadline bounds the total retry budget per call (default 5s):
 	// a node restarting within it costs latency, not errors.
-	DialTimeout   time.Duration
-	CallTimeout   time.Duration
 	RetryDeadline time.Duration
 }
+
+// dialTimeout bounds one connection attempt; callTimeout bounds one
+// request round-trip.
+const (
+	dialTimeout = time.Second
+	callTimeout = 10 * time.Second
+)
 
 // Fleet is the client-side router: it splits request batches by owning
 // node, ships the shards concurrently over pipelined connections, and
@@ -69,21 +72,10 @@ func Dial(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 8
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Second
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
 	if cfg.RetryDeadline <= 0 {
 		cfg.RetryDeadline = 5 * time.Second
 	}
-	opts := connOpts{
-		window:        cfg.Window,
-		dialTimeout:   cfg.DialTimeout,
-		callTimeout:   cfg.CallTimeout,
-		retryDeadline: cfg.RetryDeadline,
-	}
+	opts := connOpts{window: cfg.Window, retryDeadline: cfg.RetryDeadline}
 	f := &Fleet{cfg: cfg, nm: nm}
 	for _, addr := range cfg.Addrs {
 		f.conns = append(f.conns, newNodeConn(addr, opts))

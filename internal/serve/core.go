@@ -93,6 +93,9 @@ func (c *core[J]) admit(window []J) []J {
 // serve executes one admitted round through the executor, handing each
 // request's response and execution facts to done in service order.
 func (c *core[J]) serve(round []J, done func(i int, resp Response, info execInfo)) {
+	if c.tel.enabled {
+		c.tel.backlog.Observe(int64(len(round)))
+	}
 	c.reqs = c.reqs[:0]
 	for _, j := range round {
 		c.reqs = append(c.reqs, j.request())

@@ -306,7 +306,6 @@ func replayWorker(cfg ReplayConfig, model faults.Model, banks []int, tr *Trace, 
 		}
 		round := c.admit(reqs[i:j])
 		i = j
-		tel.backlog.Observe(int64(len(round)))
 		c.serve(round, func(k int, resp Response, info execInfo) {
 			tq := round[k]
 			var charge int64

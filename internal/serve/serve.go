@@ -112,8 +112,9 @@ type Config struct {
 
 	// Telemetry, when non-nil, receives the live service series
 	// (serve_requests_total, wall-clock latency/wait histograms, the
-	// queue-depth gauge) and admission/coalescing events. Nil — the
-	// default — keeps the hot path at one nil check per probe.
+	// round-size histogram serve_batch_backlog) and admission/coalescing
+	// events. Nil — the default — keeps the hot path at one nil check
+	// per probe.
 	Telemetry *telemetry.Registry
 }
 
@@ -431,12 +432,10 @@ func (s *Server) round(ln *lane) {
 	n := min(len(ln.queue), s.cfg.BatchSize)
 	ln.window = append(ln.window[:0], ln.queue[:n]...)
 	ln.queue = ln.queue[:copy(ln.queue, ln.queue[n:])]
-	depth := len(ln.queue)
 	ln.mu.Unlock()
 	c := ln.core
 	round := c.admit(ln.window)
 	if s.tel.enabled {
-		s.tel.queueDepth.Set(int64(depth))
 		start := time.Now()
 		for _, x := range round {
 			s.tel.wait.Observe(start.Sub(x.g.t0).Nanoseconds())

@@ -21,9 +21,7 @@ type probes struct {
 	segments    *telemetry.Counter
 	scrubAdm    *telemetry.Counter
 
-	queueDepth *telemetry.Gauge     // live server: backlog after a drain
-	backlog    *telemetry.Histogram // replay: eligible requests per batch
-
+	backlog *telemetry.Histogram // requests per service round
 	latency *telemetry.Histogram // submit → response
 	wait    *telemetry.Histogram // submit → start of service
 	service *telemetry.Histogram // replay only: ticks charged per request
@@ -70,34 +68,30 @@ func commonProbes(reg *telemetry.Registry) probes {
 		spanning:    reg.Counter("serve_spanning_total"),
 		segments:    reg.Counter("serve_segments_total"),
 		scrubAdm:    reg.Counter("serve_scrub_admissions_total"),
+		backlog:     reg.Histogram("serve_batch_backlog"),
 		ring:        reg.Events(),
 	}
 }
 
 // liveProbes resolves the live server's probe set: wall-clock timings in
-// nanoseconds and a last-write-wins queue-depth gauge (live view only —
-// gauges are outside the determinism contract by construction).
+// nanoseconds.
 func liveProbes(reg *telemetry.Registry) probes {
 	if reg == nil {
 		return probes{}
 	}
 	p := commonProbes(reg)
-	p.queueDepth = reg.Gauge("serve_queue_depth")
 	p.latency = reg.Histogram("serve_latency_ns")
 	p.wait = reg.Histogram("serve_wait_ns")
 	return p
 }
 
-// replayProbes resolves the deterministic replay's probe set: virtual-time
-// timings in model ticks, plus the per-batch eligible backlog as a
-// histogram (a distribution is mergeable and deterministic where a gauge
-// is not).
+// replayProbes resolves the deterministic replay's probe set:
+// virtual-time timings in model ticks.
 func replayProbes(reg *telemetry.Registry) probes {
 	if reg == nil {
 		return probes{}
 	}
 	p := commonProbes(reg)
-	p.backlog = reg.Histogram("serve_batch_backlog")
 	p.latency = reg.Histogram("serve_latency_ticks")
 	p.wait = reg.Histogram("serve_wait_ticks")
 	p.service = reg.Histogram("serve_service_ticks")

@@ -8,10 +8,10 @@ import (
 )
 
 // WriteMetrics renders the snapshot as Prometheus text exposition
-// (version 0.0.4): counters and gauges as their native types, histograms
-// as summaries (quantile series plus _sum and _count). Families are
-// grouped under one # TYPE line each and emitted in sorted order, so the
-// output is deterministic from the snapshot.
+// (version 0.0.4): counters as their native type, histograms as
+// summaries (quantile series plus _sum and _count). Families are grouped
+// under one # TYPE line each and emitted in sorted order, so the output
+// is deterministic from the snapshot.
 func WriteMetrics(w io.Writer, s Snapshot) error {
 	type family struct {
 		typ   string
@@ -28,10 +28,6 @@ func WriteMetrics(w io.Writer, s Snapshot) error {
 	}
 	for _, p := range s.Counters {
 		f := get(p.Name, "counter")
-		f.lines = append(f.lines, fmt.Sprintf("%s %d", renderSeries(p.Name, p.Labels, ""), p.Value))
-	}
-	for _, p := range s.Gauges {
-		f := get(p.Name, "gauge")
 		f.lines = append(f.lines, fmt.Sprintf("%s %d", renderSeries(p.Name, p.Labels, ""), p.Value))
 	}
 	for _, p := range s.Hists {

@@ -15,14 +15,13 @@ import (
 var promSample = regexp.MustCompile(
 	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? -?\d+$`)
 
-// fixtureRegistry builds a registry exercising all three metric types
-// plus events.
+// fixtureRegistry builds a registry exercising both series kinds plus
+// events.
 func fixtureRegistry() *Registry {
 	reg := New()
 	reg.Counter("pmem_scrubs_total", "bank", "0").Add(4)
 	reg.Counter("pmem_scrubs_total", "bank", "1").Add(6)
 	reg.Counter("ecc_corrections_total", "scheme", "diagonal").Add(9)
-	reg.Gauge("serve_queue_depth").Set(3)
 	h := reg.Histogram("serve_latency_ticks")
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i)
@@ -47,7 +46,7 @@ func TestPromExposition(t *testing.T) {
 				t.Fatalf("malformed TYPE line %q", line)
 			}
 			switch parts[1] {
-			case "counter", "gauge", "summary":
+			case "counter", "summary":
 			default:
 				t.Fatalf("unknown type in %q", line)
 			}
@@ -68,8 +67,6 @@ func TestPromExposition(t *testing.T) {
 		`pmem_scrubs_total{bank="0"} 4`,
 		`pmem_scrubs_total{bank="1"} 6`,
 		`ecc_corrections_total{scheme="diagonal"} 9`,
-		"# TYPE serve_queue_depth gauge",
-		"serve_queue_depth 3",
 		"# TYPE serve_latency_ticks summary",
 		`serve_latency_ticks{quantile="0.5"}`,
 		"serve_latency_ticks_sum 5050",

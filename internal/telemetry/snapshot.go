@@ -11,15 +11,6 @@ type CounterPoint struct {
 	key string // rendered identity, for ordering and merging
 }
 
-// GaugePoint is one gauge series in a snapshot.
-type GaugePoint struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  int64             `json:"value"`
-
-	key string
-}
-
 // HistPoint is one histogram series: the report-facing digest plus the
 // full bucket state (unexported) so snapshots stay mergeable.
 type HistPoint struct {
@@ -37,14 +28,11 @@ func (p HistPoint) Hist() Hist { return p.full }
 // Snapshot is the deterministic, mergeable digest of a registry: every
 // series sorted by rendered name, counters and histograms a pure
 // function of the observations made (commutative adds and merges), so
-// the same work snapshots to the same bytes at any worker count.
-// Gauges are included for completeness but are last-write-wins under
-// concurrency — deterministic report paths avoid them. The event ring
-// is deliberately absent: its ordering is arrival time, a live-view
-// concern served by the /trace endpoint instead.
+// the same work snapshots to the same bytes at any worker count. The
+// event ring is deliberately absent: its ordering is arrival time, a
+// live-view concern served by the /trace endpoint instead.
 type Snapshot struct {
 	Counters []CounterPoint `json:"counters,omitempty"`
-	Gauges   []GaugePoint   `json:"gauges,omitempty"`
 	Hists    []HistPoint    `json:"hists,omitempty"`
 }
 
@@ -76,11 +64,6 @@ func (r *Registry) Snapshot() Snapshot {
 			Name: c.name, Labels: labelMap(c.labels), Value: c.v.Load(), key: c.key,
 		})
 	}
-	for _, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugePoint{
-			Name: g.name, Labels: labelMap(g.labels), Value: g.v.Load(), key: g.key,
-		})
-	}
 	for _, h := range r.hists {
 		full := h.Hist()
 		s.Hists = append(s.Hists, HistPoint{
@@ -94,11 +77,10 @@ func (r *Registry) Snapshot() Snapshot {
 
 func (s *Snapshot) sortSeries() {
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].key < s.Counters[j].key })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].key < s.Gauges[j].key })
 	sort.Slice(s.Hists, func(i, j int) bool { return s.Hists[i].key < s.Hists[j].key })
 }
 
-// Merge combines two snapshots series-wise: counters and gauges sum,
+// Merge combines two snapshots series-wise: counters sum,
 // histograms merge bucket-wise (summaries recomputed). Commutative and
 // associative, like the underlying types, so per-shard snapshots roll up
 // into one total in any order.
@@ -118,21 +100,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	}
 	for _, p := range cs {
 		m.Counters = append(m.Counters, *p)
-	}
-
-	gs := make(map[string]*GaugePoint, len(s.Gauges)+len(o.Gauges))
-	for _, list := range [][]GaugePoint{s.Gauges, o.Gauges} {
-		for _, p := range list {
-			if got, ok := gs[p.key]; ok {
-				got.Value += p.Value
-				continue
-			}
-			gp := p
-			gs[p.key] = &gp
-		}
-	}
-	for _, p := range gs {
-		m.Gauges = append(m.Gauges, *p)
 	}
 
 	hs := make(map[string]*HistPoint, len(s.Hists)+len(o.Hists))
@@ -157,7 +124,7 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 
 // Empty reports whether the snapshot holds no series at all.
 func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Hists) == 0
+	return len(s.Counters) == 0 && len(s.Hists) == 0
 }
 
 // Counter returns the value of the counter with the given rendered key

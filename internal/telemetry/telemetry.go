@@ -1,18 +1,17 @@
 // Package telemetry is the repo's unified observability layer: a
-// dependency-free metrics registry (atomic counters, gauges, and the
-// log-linear histogram the fleet's latency accounting promoted here) plus
-// a bounded structured event trace, shared by pmem, machine, serve,
-// fleet, and campaign.
+// dependency-free metrics registry with two series kinds (atomic
+// counters and the log-linear histogram the fleet's latency accounting
+// promoted here) plus a bounded structured event trace, shared by pmem,
+// machine, serve, fleet, and campaign.
 //
 // # Design constraints
 //
 // The layer exists to watch the paper's cost/reliability tradeoffs while
 // the memory runs, so it must not perturb what it measures:
 //
-//   - Zero allocations on the hot path. Handles (Counter, Gauge,
-//     Histogram) are resolved once at setup — name and labels are
-//     rendered then — and every subsequent Inc/Add/Observe is an atomic
-//     word operation.
+//   - Zero allocations on the hot path. Handles (Counter, Histogram)
+//     are resolved once at setup — name and labels are rendered then —
+//     and every subsequent Inc/Add/Observe is an atomic word operation.
 //   - Nil-safe when disabled. Every handle method no-ops on a nil
 //     receiver, and a nil *Registry resolves nil handles, so
 //     instrumented code never branches on "is telemetry on" — it just
@@ -21,11 +20,10 @@
 //   - Deterministic snapshots. Counter adds and histogram merges are
 //     commutative, and Snapshot sorts series by rendered name, so the
 //     snapshot of a run is a pure function of the work performed — the
-//     same at any worker count, byte-reproducible through MarshalJSON.
-//     Gauges are last-write-wins and the event ring is arrival-ordered;
-//     both are live-introspection views (the /metrics and /trace
-//     endpoints), deliberately excluded from the determinism contract —
-//     deterministic report paths use counters and histograms only.
+//     same at any worker count, byte-reproducible through MarshalJSON —
+//     and every series in it merges across shards. Only the event ring
+//     is arrival-ordered: it is a live-introspection view (the /trace
+//     endpoint), deliberately outside the determinism contract.
 //
 // # Label model
 //
@@ -72,35 +70,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-write-wins atomic series for instantaneous values
-// (queue depths, in-flight work). Nil-safe like Counter.
-type Gauge struct {
-	meta
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is the concurrent counterpart of Hist: the same log-linear
@@ -215,7 +184,6 @@ func sortLabels(kv []string) []LabelPair {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	ring     *Ring
 }
@@ -227,7 +195,6 @@ const DefaultTraceDepth = 1024
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		ring:     NewRing(DefaultTraceDepth),
 	}
@@ -249,24 +216,6 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 		r.counters[key] = c
 	}
 	return c
-}
-
-// Gauge resolves the gauge for name and label pairs. Nil registry
-// resolves nil.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	ls := sortLabels(labels)
-	key := renderKey(name, ls)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[key]
-	if !ok {
-		g = &Gauge{meta: meta{name: name, labels: ls, key: key}}
-		r.gauges[key] = g
-	}
-	return g
 }
 
 // Histogram resolves the histogram for name and label pairs. Nil

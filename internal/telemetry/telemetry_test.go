@@ -15,23 +15,20 @@ import (
 func TestNilRegistryIsDisabledLayer(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("x_total", "bank", "0")
-	g := reg.Gauge("depth")
 	h := reg.Histogram("lat")
 	ring := reg.Events()
-	if c != nil || g != nil || h != nil || ring != nil {
+	if c != nil || h != nil || ring != nil {
 		t.Fatal("nil registry resolved live handles")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(7)
-		g.Add(1)
 		h.Observe(42)
 		ring.Emit(EvScrub, 1, 2, 3, 4, 5)
 	}); allocs != 0 {
 		t.Fatalf("disabled path allocates %v per op bundle", allocs)
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Hist().N != 0 || ring.Total() != 0 {
+	if c.Value() != 0 || h.Hist().N != 0 || ring.Total() != 0 {
 		t.Fatal("nil handles reported state")
 	}
 	if !reg.Snapshot().Empty() {
@@ -44,12 +41,10 @@ func TestNilRegistryIsDisabledLayer(t *testing.T) {
 func TestEnabledHotPathZeroAllocs(t *testing.T) {
 	reg := New()
 	c := reg.Counter("x_total", "bank", "0")
-	g := reg.Gauge("depth")
 	h := reg.Histogram("lat")
 	ring := reg.Events()
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
-		g.Set(9)
 		h.Observe(1 << 20)
 		ring.Emit(EvCoalesce, 10, 1, 0, 4, 7)
 	}); allocs != 0 {
@@ -69,7 +64,7 @@ func TestRegistryResolvesSameHandle(t *testing.T) {
 	if c := reg.Counter("s_total", "bank", "4", "scheme", "diagonal"); c == a {
 		t.Fatal("different label value resolved the same series")
 	}
-	if reg.Histogram("s_total") == nil || reg.Gauge("s_total") == nil {
+	if reg.Histogram("s_total") == nil {
 		t.Fatal("family name can back different metric types")
 	}
 	a.Inc()
@@ -122,7 +117,6 @@ func TestSnapshotMergeOrderIndependent(t *testing.T) {
 			reg.Counter("c_total", "bank", fmt.Sprint((seed+i)%3)).Add(i)
 			reg.Histogram("h").Observe(seed*37 + i)
 		}
-		reg.Gauge("g").Set(seed)
 		return reg.Snapshot()
 	}
 	a, b, c := shard(1), shard(2), shard(3)

@@ -2,7 +2,7 @@ package telemetry
 
 import "sort"
 
-// WirePoint is one counter or gauge series in transportable form: name
+// WirePoint is one counter series in transportable form: name
 // plus raw label pairs, with none of the unexported identity state a
 // Snapshot carries.
 type WirePoint struct {
@@ -28,7 +28,6 @@ type WireHist struct {
 // commutatively, to the same bytes in any arrival order.
 type WireSnapshot struct {
 	Counters []WirePoint `json:"counters,omitempty"`
-	Gauges   []WirePoint `json:"gauges,omitempty"`
 	Hists    []WireHist  `json:"hists,omitempty"`
 }
 
@@ -50,9 +49,6 @@ func (s Snapshot) Wire() WireSnapshot {
 	var w WireSnapshot
 	for _, p := range s.Counters {
 		w.Counters = append(w.Counters, WirePoint{Name: p.Name, Labels: wireLabels(p.Labels), Value: p.Value})
-	}
-	for _, p := range s.Gauges {
-		w.Gauges = append(w.Gauges, WirePoint{Name: p.Name, Labels: wireLabels(p.Labels), Value: p.Value})
 	}
 	for _, p := range s.Hists {
 		w.Hists = append(w.Hists, WireHist{Name: p.Name, Labels: wireLabels(p.Labels), Hist: p.full})
@@ -91,20 +87,6 @@ func (w WireSnapshot) Snapshot() Snapshot {
 	}
 	for _, p := range cs {
 		s.Counters = append(s.Counters, *p)
-	}
-
-	gs := make(map[string]*GaugePoint, len(w.Gauges))
-	for _, p := range w.Gauges {
-		ls := canonLabels(p.Labels)
-		key := renderKey(p.Name, ls)
-		if got, ok := gs[key]; ok {
-			got.Value += p.Value
-			continue
-		}
-		gs[key] = &GaugePoint{Name: p.Name, Labels: labelMap(ls), Value: p.Value, key: key}
-	}
-	for _, p := range gs {
-		s.Gauges = append(s.Gauges, *p)
 	}
 
 	hs := make(map[string]*HistPoint, len(w.Hists))

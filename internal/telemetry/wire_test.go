@@ -6,7 +6,7 @@ import (
 )
 
 // buildRegistry populates a registry the way a fleet node would: per-bank
-// counters, a gauge, and latency histograms with enough spread to make
+// counters and latency histograms with enough spread to make
 // quantiles sensitive to lost buckets.
 func buildRegistry(t *testing.T, seedBias int64) *Registry {
 	t.Helper()
@@ -16,7 +16,6 @@ func buildRegistry(t *testing.T, seedBias int64) *Registry {
 		c.Add(100 + int64(bank)*7 + seedBias)
 	}
 	reg.Counter("serve_requests_total").Add(4096 + seedBias)
-	reg.Gauge("serve_queue_depth").Set(3 + seedBias)
 	h := reg.Histogram("serve_latency_ns")
 	for i := int64(1); i < 2000; i += 13 {
 		h.Observe(i * i % 100000)
