@@ -40,6 +40,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/mmpu"
+	"repro/internal/pmem"
 	"repro/internal/telemetry"
 )
 
@@ -215,8 +216,10 @@ func main() {
 	}
 	defer stop()
 	cfg := fleet.Config{
-		Org: mmpu.Custom(*n, *banks, *perBank), M: *m, K: *k, ECCEnabled: eccOn, Scheme: scheme,
-		Repair:  repairSel.Config,
+		Config: pmem.Config{
+			Org: mmpu.Custom(*n, *banks, *perBank), M: *m, K: *k, ECCEnabled: eccOn, Scheme: scheme,
+			Repair: repairSel.Config,
+		},
 		Workers: workers, Seed: seed, Telemetry: tel.Registry(),
 	}
 	runWith := func(c fleet.Config, serPoint float64) campaign.Tally {

@@ -1,7 +1,10 @@
-// Command fleetbench drives the concurrent fleet engine (internal/fleet):
-// it instantiates a multi-bank mMPU organization of protected crossbars,
-// streams a chosen workload scenario across it with a per-bank worker
-// pool, and reports aggregate throughput plus ECC activity.
+// Command fleetbench is the front end of the offline fleet engine
+// (internal/fleet): it builds a protected memory (internal/pmem) of a
+// multi-bank mMPU organization, runs a chosen workload scenario's job
+// plan across it with one worker per bank shard, and reports aggregate
+// throughput plus ECC activity. The report, minus its timing and
+// worker-count lines, is the same at every -workers value;
+// testdata/golden_*.txt pins each scenario's at -seed 3.
 //
 // Examples:
 //
@@ -28,6 +31,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/mmpu"
+	"repro/internal/pmem"
 )
 
 func main() {
@@ -78,8 +82,10 @@ func main() {
 	}
 	defer stop()
 	cfg := fleet.Config{
-		Org: mmpu.Custom(geo.N, geo.Banks, geo.PerBank), M: geo.M, K: geo.K, ECCEnabled: eccOn, Scheme: scheme,
-		Repair:  repairSel.Config,
+		Config: pmem.Config{
+			Org: mmpu.Custom(geo.N, geo.Banks, geo.PerBank), M: geo.M, K: geo.K, ECCEnabled: eccOn, Scheme: scheme,
+			Repair: repairSel.Config,
+		},
 		Workers: workers, Seed: seed, KernelWidth: *width, Telemetry: tel.Registry(),
 	}
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/mmpu"
+	"repro/internal/pmem"
 )
 
 func main() {
@@ -20,13 +21,13 @@ func main() {
 
 	scenarios := []fleet.Workload{
 		fleet.Uniform{OpsPerCrossbar: 2},
-		fleet.HotBank{Jobs: 48, Skew: 1.5},
+		fleet.HotBank{Jobs: 48},
 		fleet.MixedScrub{Rounds: 1, SIMDPerRound: 1},
 		fleet.FaultStorm{Bursts: 2, SER: 5e5, Hours: 1},
 	}
 
 	for _, w := range scenarios {
-		cfg := fleet.Config{Org: org, M: 15, K: 2, ECCEnabled: true, Seed: 7, Workers: 1}
+		cfg := fleet.Config{Config: pmem.Config{Org: org, M: 15, K: 2, ECCEnabled: true}, Seed: 7, Workers: 1}
 		serial, err := fleet.Run(cfg, w)
 		if err != nil {
 			panic(err)

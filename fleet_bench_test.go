@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/mmpu"
+	"repro/internal/pmem"
 )
 
 // --- E7: fleet-scale concurrent execution -------------------------------------
@@ -20,7 +21,7 @@ import (
 // to exploit, small enough to iterate in a benchmark loop.
 func fleetBenchConfig(workers int, ecc bool) fleet.Config {
 	cfg := fleet.Config{
-		Org: mmpu.Custom(45, 8, 2), K: 2, ECCEnabled: ecc,
+		Config:  pmem.Config{Org: mmpu.Custom(45, 8, 2), K: 2, ECCEnabled: ecc},
 		Workers: workers, Seed: 1,
 	}
 	if ecc {

@@ -102,20 +102,6 @@ func poissonSample(rng *rand.Rand, mean float64) int {
 	return n
 }
 
-// Inject flips soft-error bits in the crossbar corresponding to an exposure
-// of `hours` hours, returning the flipped locations. Locations are drawn
-// uniformly; a location hit twice flips twice (back to its original value),
-// matching independent physical events. It is the Transient model driven by
-// the injector's stream.
-func (in *Injector) Inject(x *xbar.Crossbar, hours float64) []Flip {
-	faults := Transient{SER: in.SER}.Apply(x, nil, in.rng, hours)
-	flips := make([]Flip, len(faults))
-	for i, f := range faults {
-		flips[i] = Flip{Row: f.Row, Col: f.Col}
-	}
-	return flips
-}
-
 // InjectExactly flips exactly n uniformly-chosen distinct bits — the
 // controlled campaign used by correction tests and examples.
 func (in *Injector) InjectExactly(x *xbar.Crossbar, n int) []Flip {

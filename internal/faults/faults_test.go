@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/xbar"
@@ -65,20 +66,22 @@ func TestInjectExactlyTooMany(t *testing.T) {
 
 func TestInjectZeroRate(t *testing.T) {
 	x := xbar.New(32, 32)
-	in := NewInjector(0, 7)
-	flips := in.Inject(x, 1e9)
+	flips := Transient{SER: 0}.Apply(x, nil, rand.New(rand.NewSource(7)), 1e9)
 	if len(flips) != 0 || x.Mat().Popcount() != 0 {
 		t.Fatal("zero SER produced flips")
 	}
 }
 
 func TestInjectDeterministicWithSeed(t *testing.T) {
-	run := func() []Flip {
+	run := func() []Fault {
 		x := xbar.New(64, 64)
-		in := NewInjector(5e5, 123) // high rate to guarantee flips
-		return in.Inject(x, 24)
+		// A high rate guarantees flips.
+		return Transient{SER: 5e5}.Apply(x, nil, rand.New(rand.NewSource(123)), 24)
 	}
 	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("no flips drawn")
+	}
 	if len(a) != len(b) {
 		t.Fatalf("non-deterministic flip count: %d vs %d", len(a), len(b))
 	}

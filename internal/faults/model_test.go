@@ -37,26 +37,6 @@ func TestModelByName(t *testing.T) {
 	}
 }
 
-// TestTransientMatchesInjector: the Transient model is the Injector's
-// uniform flip model — same seed, same stream, same flips.
-func TestTransientMatchesInjector(t *testing.T) {
-	x1, x2 := xbar.New(64, 64), xbar.New(64, 64)
-	in := NewInjector(5e5, 9)
-	flips := in.Inject(x1, 24)
-	faults := Transient{SER: 5e5}.Apply(x2, nil, rand.New(rand.NewSource(9)), 24)
-	if len(flips) != len(faults) {
-		t.Fatalf("injector made %d flips, model %d", len(flips), len(faults))
-	}
-	for i := range flips {
-		if flips[i].Row != faults[i].Row || flips[i].Col != faults[i].Col {
-			t.Fatalf("flip %d: injector %v, model %+v", i, flips[i], faults[i])
-		}
-	}
-	if !x1.Mat().Equal(x2.Mat()) {
-		t.Fatal("memories diverged")
-	}
-}
-
 // TestStuckAtReassertsAfterOverwrite is the satellite contract: a stuck
 // cell swallows every later write and re-asserts its stuck value.
 func TestStuckAtReassertsAfterOverwrite(t *testing.T) {
@@ -233,20 +213,20 @@ func TestLineClusterSpansExactlyOneLine(t *testing.T) {
 }
 
 // TestInjectPoissonPathStatistics is the satellite coverage for the large-
-// population Poisson path of Injector.Inject: on a crossbar big enough to
-// bypass exact binomial sampling, the injected count must match the
+// population Poisson path of the Transient model: on a crossbar big enough
+// to bypass exact binomial sampling, the injected count must match the
 // binomial mean and Poisson-like variance.
 func TestInjectPoissonPathStatistics(t *testing.T) {
 	const rows, cols = 128, 64 // 8192 bits > the 4096 exact-sampling cutoff
-	in := NewInjector(1e6, 77)
+	model, rng := Transient{SER: 1e6}, rand.New(rand.NewSource(77))
 	hours := 24.0
-	want := float64(rows*cols) * ErrorProbability(in.SER, hours) // ≈ 196
+	want := float64(rows*cols) * ErrorProbability(model.SER, hours) // ≈ 196
 	const trials = 400
 	counts := make([]float64, trials)
 	sum := 0.0
 	for i := range counts {
 		x := xbar.New(rows, cols)
-		flips := in.Inject(x, hours)
+		flips := model.Apply(x, nil, rng, hours)
 		for _, f := range flips {
 			if f.Row < 0 || f.Row >= rows || f.Col < 0 || f.Col >= cols {
 				t.Fatalf("flip (%d,%d) out of range", f.Row, f.Col)

@@ -1,53 +1,46 @@
-// Package fleet executes workloads across a fleet of protected crossbar
-// machines organized as a full mMPU (internal/mmpu): the paper evaluates
-// its diagonal-ECC mechanism at the scale of a 1GB memory built from
-// thousands of n×n crossbars (Fig 6), and this package is the engine that
-// actually runs multi-bank traffic against that organization.
+// Package fleet executes workloads across a protected memory organized as
+// a full mMPU (internal/mmpu): the paper evaluates its diagonal-ECC
+// mechanism at the scale of a 1GB memory built from thousands of n×n
+// crossbars (Fig 6), and this package is the offline engine that runs
+// multi-bank job plans against that organization.
+//
+// Every run builds one pmem.Memory from its Config, the same memory the
+// serving engines run on: SIMD runs, scrubs, row loads and fault bursts
+// are its ExecuteSIMD, ScrubCrossbar, AccessRow and InjectModel calls, and
+// its per-bank series record them when a registry is attached.
 //
 // Execution is sharded per bank: banks are partitioned across workers
-// (mmpu.ShardBanks), one goroutine per shard, each owning every crossbar
-// of its banks — so no machine is ever shared between goroutines and no
-// locking is needed. Job batches flow to shards over channels; each shard
-// tallies a local Result and the engine merges them.
+// (mmpu.ShardBanks), one goroutine per shard, each walking its own slice
+// of the plan in plan order, so a crossbar is only ever touched by the
+// shard owning its bank. Each shard tallies a local Result and the engine
+// merges them.
 //
 // Determinism is a hard guarantee: a Workload's plan is a pure function of
-// (organization, seed), per-crossbar randomness comes from seeds derived
-// with faults.DeriveSeed, jobs for one crossbar execute in plan order, and
-// Result.Merge is commutative — so the same run produces an identical
-// Result under any worker count.
+// (organization, seed), a crossbar's random streams are seeded with
+// faults.DeriveSeed on their first use, jobs for one crossbar execute in
+// plan order, and Result.Merge is commutative — so the same run produces
+// an identical Result under any worker count.
 package fleet
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"repro/internal/bitmat"
 	"repro/internal/campaign"
 	"repro/internal/faults"
-	"repro/internal/machine"
-	"repro/internal/mmpu"
 	"repro/internal/netlist"
-	"repro/internal/repair"
+	"repro/internal/pmem"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
 
 // Config sizes a fleet run.
 type Config struct {
-	Org        mmpu.Organization
-	M          int  // ECC block side
-	K          int  // processing crossbars per machine
-	ECCEnabled bool // false = the paper's unprotected baseline
-
-	// Scheme selects the protection code for every machine in the fleet
-	// (ecc.SchemeByName; empty = the paper's diagonal code).
-	Scheme string
-
-	// Repair is the self-healing policy applied to every machine in the
-	// fleet (write-verify, spare remap, retirement); the zero value is off.
-	Repair repair.Config
+	pmem.Config // the memory every job runs on
 
 	Workers int   // shard count; <=0 uses GOMAXPROCS, capped at Banks
 	Seed    int64 // campaign base seed
@@ -57,16 +50,13 @@ type Config struct {
 	// the 45-cell minimum geometry).
 	KernelWidth int
 
-	// Telemetry, when non-nil, receives the fleet series (per-bank job
-	// counters, scrub/correction/injection totals, campaign outcome
-	// counters) and instruments every lazily created machine with its
-	// per-scheme ECC probes. Because all updates commute, the resulting
-	// snapshot — like the Result — is identical for every worker count.
+	// Telemetry, when non-nil, is attached to the run's memory (its
+	// per-bank pmem_* series and per-scheme ECC probes), and receives
+	// the per-bank job counters and campaign outcome counters of each
+	// run's Result. Because all updates commute, the resulting snapshot —
+	// like the Result — is identical for every worker count.
 	Telemetry *telemetry.Registry
 }
-
-// jobBatch is the number of jobs per channel send to a shard.
-const jobBatch = 16
 
 // EffectiveWorkers resolves the shard count actually used: Workers,
 // defaulted to GOMAXPROCS and capped at the bank count (a bank is never
@@ -85,11 +75,6 @@ func (c Config) EffectiveWorkers() int {
 	return w
 }
 
-// machineConfig is the per-crossbar machine geometry.
-func (c Config) machineConfig() machine.Config {
-	return machine.Config{N: c.Org.CrossbarN, M: c.M, K: c.K, ECCEnabled: c.ECCEnabled, Scheme: c.Scheme, Repair: c.Repair}
-}
-
 // AdderKernel builds the fleet's SIMD kernel: a width-bit ripple-carry
 // adder lowered to NOR and SIMPLER-mapped into a rowSize-cell row.
 func AdderKernel(width, rowSize int) (*synth.Mapping, error) {
@@ -106,57 +91,30 @@ func AdderKernel(width, rowSize int) (*synth.Mapping, error) {
 	return synth.Map(b.Build().LowerToNOR(), rowSize)
 }
 
-// xbarState is a worker's lazily-created per-crossbar execution state.
-// The machine and the campaign runner are each created on first use, so a
-// campaign-only job stream does not pay for an idle protected machine and
-// vice versa.
+// xbarState is one crossbar's per-run state: whether a job reached it,
+// its load-pattern and fault-burst streams, and its campaign runner, each
+// created on first use. Only the shard owning the crossbar's bank
+// touches it.
 type xbarState struct {
-	bank, xb int
-	m        *machine.Machine
-	inj      *faults.Injector  // fault-burst stream, seeded per crossbar
-	rng      *rand.Rand        // load-pattern stream, seeded per crossbar
-	camp     *campaign.Runner  // fault-campaign conformance state
-	tel      machine.Telemetry // attached at machine creation (zero = off)
+	touched     bool
+	load, burst *rand.Rand
+	camp        *campaign.Runner
 }
 
-// machine returns the crossbar's machine, creating it on first use. mcfg
-// was validated in Run, so MustNew cannot panic here.
-func (st *xbarState) machine(mcfg machine.Config) *machine.Machine {
-	if st.m == nil {
-		st.m = machine.MustNew(mcfg)
-		st.m.Instrument(st.tel)
+// stream returns *r, seeding it on first use.
+func stream(r **rand.Rand, seed int64) *rand.Rand {
+	if *r == nil {
+		*r = rand.New(rand.NewSource(seed))
 	}
-	return st.m
-}
-
-// runner returns the crossbar's campaign runner, creating it on first use
-// from the op's model spec. Model names and rates were validated in Run.
-func (st *xbarState) runner(cfg Config, mcfg machine.Config, op Op) *campaign.Runner {
-	if st.camp == nil {
-		model, err := faults.ModelByName(op.Model, op.SER)
-		if err != nil {
-			panic(err)
-		}
-		r, err := campaign.New(campaign.Config{
-			Machine: mcfg, Model: model, Hours: op.Hours, Verify: true,
-		}, faults.DeriveSeed(cfg.Seed^0xca3b, st.bank, st.xb))
-		if err != nil {
-			panic(err)
-		}
-		st.camp = r
-	}
-	return st.camp
+	return *r
 }
 
 // Run executes the workload across the fleet and returns the merged
 // result. With the same configuration, workload, and seed the Result is
 // identical for every worker count.
 func Run(cfg Config, w Workload) (Result, error) {
-	if err := cfg.Org.Validate(); err != nil {
-		return Result{}, err
-	}
-	mcfg := cfg.machineConfig()
-	if err := mcfg.Validate(); err != nil {
+	mem, err := pmem.New(cfg.Config)
+	if err != nil {
 		return Result{}, err
 	}
 	width := cfg.KernelWidth
@@ -196,46 +154,32 @@ func Run(cfg Config, w Workload) (Result, error) {
 			}
 		}
 	}
+	mem.Instrument(cfg.Telemetry)
 
-	workers := cfg.EffectiveWorkers()
-
-	// bankShard maps each bank to the one shard that owns it.
+	// Each shard walks the plan's jobs for the banks it owns, in plan
+	// order, which preserves per-crossbar ordering.
+	shards := cfg.Org.ShardBanks(cfg.EffectiveWorkers())
 	bankShard := make([]int, cfg.Org.Banks)
-	for s, banks := range cfg.Org.ShardBanks(workers) {
+	for s, banks := range shards {
 		for _, b := range banks {
 			bankShard[b] = s
 		}
 	}
-
-	chans := make([]chan []Job, workers)
-	results := make([]Result, workers)
-	tel := fleetProbesFor(cfg.Telemetry, cfg.Org.Banks)
+	plans := make([][]Job, len(shards))
+	for _, j := range jobs {
+		plans[bankShard[j.Bank]] = append(plans[bankShard[j.Bank]], j)
+	}
+	rows := bitmat.NewVec(cfg.Org.CrossbarN)
+	rows.Fill(true)
+	states := make([]xbarState, cfg.Org.Crossbars())
+	results := make([]Result, len(shards))
 	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		chans[s] = make(chan []Job, 4)
+	for s := range shards {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			results[s] = runShard(cfg, mcfg, kernel, chans[s], tel)
+			results[s] = runShard(cfg, mem, kernel, rows, plans[s], states)
 		}(s)
-	}
-
-	// Feed job batches to the owning shards in plan order, preserving
-	// per-crossbar ordering (all of a bank's jobs go to one shard).
-	pending := make([][]Job, workers)
-	for _, j := range jobs {
-		s := bankShard[j.Bank]
-		pending[s] = append(pending[s], j)
-		if len(pending[s]) >= jobBatch {
-			chans[s] <- pending[s]
-			pending[s] = nil
-		}
-	}
-	for s := 0; s < workers; s++ {
-		if len(pending[s]) > 0 {
-			chans[s] <- pending[s]
-		}
-		close(chans[s])
 	}
 	wg.Wait()
 
@@ -243,106 +187,104 @@ func Run(cfg Config, w Workload) (Result, error) {
 	for _, r := range results {
 		total = total.Merge(r)
 	}
+	for i := range states {
+		if st := &states[i]; st.touched {
+			total.CrossbarsTouched++
+			total.Machine = total.Machine.Add(mem.Crossbar(i).Stats())
+			if st.camp != nil {
+				total.Machine = total.Machine.Add(st.camp.Stats())
+				total.Campaign = total.Campaign.Add(st.camp.Tally())
+			}
+		}
+	}
+	if reg := cfg.Telemetry; reg != nil {
+		for b, t := range total.PerBank {
+			reg.Counter("fleet_jobs_total", "bank", strconv.Itoa(b)).Add(t.Jobs)
+		}
+		reg.Counter("campaign_rounds_total").Add(total.CampaignRounds)
+		for o, n := range total.Campaign.Counts {
+			reg.Counter("campaign_outcomes_total", "outcome", campaign.Outcome(o).String()).Add(n)
+		}
+	}
 	return total, nil
 }
 
-// runShard owns a subset of banks: it executes every job batch sent to it,
-// creating machines lazily, and tallies a shard-local result.
-func runShard(cfg Config, mcfg machine.Config, kernel *synth.Mapping, in <-chan []Job, tel fleetProbes) Result {
+// runShard executes one shard's jobs in order, each op on its crossbar
+// of mem, and tallies a shard-local result.
+func runShard(cfg Config, mem *pmem.Memory, kernel *synth.Mapping, rows *bitmat.Vec, jobs []Job, states []xbarState) Result {
 	res := Result{PerBank: make([]BankTally, cfg.Org.Banks)}
-	states := make(map[int]*xbarState)
-	for batch := range in {
-		for _, job := range batch {
-			id := cfg.Org.CrossbarID(job.Bank, job.Crossbar)
-			st := states[id]
-			if st == nil {
-				st = &xbarState{
-					bank: job.Bank, xb: job.Crossbar,
-					inj: faults.NewInjector(0, faults.DeriveSeed(cfg.Seed, job.Bank, job.Crossbar)),
-					rng: rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed^0x10ad, job.Bank, job.Crossbar))),
-					tel: machineTelemetry(cfg.Telemetry, cfg, job.Bank, job.Crossbar),
+	n := cfg.Org.CrossbarN
+	for _, job := range jobs {
+		st := &states[cfg.Org.CrossbarID(job.Bank, job.Crossbar)]
+		st.touched = true
+		bank := &res.PerBank[job.Bank]
+		res.Jobs++
+		bank.Jobs++
+		for _, op := range job.Ops {
+			res.Ops++
+			bank.Ops++
+			switch op.Kind {
+			case OpSIMD:
+				// Geometry and kernel were validated in Run.
+				if err := mem.ExecuteSIMD(job.Bank, job.Crossbar, kernel, rows); err != nil {
+					panic(err)
 				}
-				states[id] = st
+				res.SIMDOps++
+			case OpScrub:
+				c, u := mem.ScrubCrossbar(job.Bank, job.Crossbar)
+				res.Scrubs++
+				res.Corrected += int64(c)
+				res.Uncorrectable += int64(u)
+				bank.Corrected += int64(c)
+				bank.Uncorrectable += int64(u)
+			case OpLoad:
+				rng := stream(&st.load, faults.DeriveSeed(cfg.Seed^0x10ad, job.Bank, job.Crossbar))
+				// A write-verify refusal is counted in the crossbar's
+				// repair statistics; the load itself has no caller to
+				// report it to.
+				_ = mem.AccessRow(job.Bank, job.Crossbar, ((op.Row%n)+n)%n, func(v *bitmat.Vec) bool {
+					for i := 0; i < n; i++ {
+						v.Set(i, rng.Intn(2) == 0)
+					}
+					return true
+				})
+				res.Loads++
+			case OpFaultBurst:
+				rng := stream(&st.burst, faults.DeriveSeed(cfg.Seed, job.Bank, job.Crossbar))
+				cells := int64(mem.InjectModel(job.Bank, job.Crossbar, faults.Transient{SER: op.SER}, rng, op.Hours))
+				res.FaultBursts++
+				res.Injected += cells
+				bank.Injected += cells
+			case OpCampaign:
+				if st.camp == nil {
+					st.camp = newRunner(cfg, op, job.Bank, job.Crossbar)
+				}
+				rep := st.camp.Round()
+				res.CampaignRounds++
+				res.Injected += int64(rep.Injected)
+				bank.Injected += int64(rep.Injected)
+				res.Corrected += rep.Counts[campaign.Corrected]
+				bank.Corrected += rep.Counts[campaign.Corrected]
+				res.Uncorrectable += rep.Counts[campaign.DetectedUncorrectable]
+				bank.Uncorrectable += rep.Counts[campaign.DetectedUncorrectable]
 			}
-			execJob(cfg, mcfg, kernel, st, job, &res, tel)
-		}
-	}
-	res.CrossbarsTouched = len(states)
-	for _, st := range states {
-		if st.m != nil {
-			res.Machine = res.Machine.Add(st.m.Stats())
-		}
-		if st.camp != nil {
-			res.Machine = res.Machine.Add(st.camp.Stats())
-			res.Campaign = res.Campaign.Add(st.camp.Tally())
 		}
 	}
 	return res
 }
 
-// execJob runs one job's ops in order on its crossbar.
-func execJob(cfg Config, mcfg machine.Config, kernel *synth.Mapping, st *xbarState, job Job, res *Result, tel fleetProbes) {
-	bank := &res.PerBank[job.Bank]
-	res.Jobs++
-	bank.Jobs++
-	if tel.enabled {
-		tel.jobs[job.Bank].Inc()
+// newRunner builds a crossbar's campaign runner from the op's model spec.
+// Model names, rates and the machine configuration were validated in Run.
+func newRunner(cfg Config, op Op, bank, xb int) *campaign.Runner {
+	model, err := faults.ModelByName(op.Model, op.SER)
+	if err != nil {
+		panic(err)
 	}
-	for _, op := range job.Ops {
-		res.Ops++
-		bank.Ops++
-		switch op.Kind {
-		case OpSIMD:
-			m := st.machine(mcfg)
-			// Geometry is pre-validated; ExecuteSIMD cannot fail here.
-			if err := m.ExecuteSIMD(kernel, m.MEM().AllRows()); err != nil {
-				panic(err)
-			}
-			res.SIMDOps++
-			tel.simdOps.Inc()
-		case OpScrub:
-			c, u := st.machine(mcfg).Scrub()
-			res.Scrubs++
-			res.Corrected += int64(c)
-			res.Uncorrectable += int64(u)
-			bank.Corrected += int64(c)
-			bank.Uncorrectable += int64(u)
-			tel.scrubs.Inc()
-			tel.corrected.Add(int64(c))
-			tel.uncorrectable.Add(int64(u))
-		case OpLoad:
-			n := cfg.Org.CrossbarN
-			row := bitmat.NewVec(n)
-			for i := 0; i < n; i++ {
-				row.Set(i, st.rng.Intn(2) == 0)
-			}
-			st.machine(mcfg).LoadRow(((op.Row%n)+n)%n, row)
-			res.Loads++
-			tel.loads.Inc()
-		case OpFaultBurst:
-			st.inj.SER = op.SER
-			m := st.machine(mcfg)
-			flips := st.inj.Inject(m.MEM(), op.Hours)
-			res.FaultBursts++
-			res.Injected += int64(len(flips))
-			bank.Injected += int64(len(flips))
-			tel.injected.Add(int64(len(flips)))
-		case OpCampaign:
-			rep := st.runner(cfg, mcfg, op).Round()
-			res.CampaignRounds++
-			res.Injected += int64(rep.Injected)
-			bank.Injected += int64(rep.Injected)
-			res.Corrected += rep.Counts[campaign.Corrected]
-			bank.Corrected += rep.Counts[campaign.Corrected]
-			res.Uncorrectable += rep.Counts[campaign.DetectedUncorrectable]
-			bank.Uncorrectable += rep.Counts[campaign.DetectedUncorrectable]
-			tel.campaignRounds.Inc()
-			tel.injected.Add(int64(rep.Injected))
-			if tel.enabled {
-				for o := 0; o < campaign.NumOutcomes; o++ {
-					tel.outcomes[o].Add(rep.Counts[o])
-				}
-			}
-		}
+	r, err := campaign.New(campaign.Config{
+		Machine: cfg.Machine(), Model: model, Hours: op.Hours, Verify: true,
+	}, faults.DeriveSeed(cfg.Seed^0xca3b, bank, xb))
+	if err != nil {
+		panic(err)
 	}
+	return r
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/mmpu"
+	"repro/internal/pmem"
 	"repro/internal/repair"
 )
 
@@ -14,7 +15,7 @@ func testOrg() mmpu.Organization { return mmpu.Custom(45, 6, 2) }
 
 func testCfg(workers int) Config {
 	return Config{
-		Org: testOrg(), M: 15, K: 2, ECCEnabled: true,
+		Config:  pmem.Config{Org: testOrg(), M: 15, K: 2, ECCEnabled: true},
 		Workers: workers, Seed: 42,
 	}
 }
@@ -25,7 +26,7 @@ func testCfg(workers int) Config {
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	scenarios := []Workload{
 		Uniform{OpsPerCrossbar: 2},
-		HotBank{Jobs: 24, Skew: 1.5},
+		HotBank{Jobs: 24},
 		MixedScrub{Rounds: 2, SIMDPerRound: 1},
 		FaultStorm{Bursts: 2, SER: 1e6, Hours: 1},
 	}
@@ -77,7 +78,7 @@ func TestUniformCounts(t *testing.T) {
 }
 
 func TestHotBankSkew(t *testing.T) {
-	res, err := Run(testCfg(2), HotBank{Jobs: 120, Skew: 1.5})
+	res, err := Run(testCfg(2), HotBank{Jobs: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range scenarios {
 		w := w.(Campaign)
 		t.Run(w.Model, func(t *testing.T) {
-			cfg := Config{Org: org, M: 15, K: 2, ECCEnabled: true, Seed: 77, Workers: 1}
+			cfg := Config{Config: pmem.Config{Org: org, M: 15, K: 2, ECCEnabled: true}, Seed: 77, Workers: 1}
 			ref, err := Run(cfg, w)
 			if err != nil {
 				t.Fatal(err)
@@ -263,8 +264,11 @@ func TestRepairCampaignDeterministicAcrossWorkers(t *testing.T) {
 	org := mmpu.Custom(45, 32, 1) // 32 banks so a 32-worker run is 32 real shards
 	w := Campaign{Rounds: 6, Model: "stuck1", SER: 2e5}
 	cfg := Config{
-		Org: org, M: 15, K: 2, ECCEnabled: true, Seed: 77, Workers: 1,
-		Repair: repair.Config{Policy: repair.VerifySpare, Spares: 8},
+		Config: pmem.Config{
+			Org: org, M: 15, K: 2, ECCEnabled: true,
+			Repair: repair.Config{Policy: repair.VerifySpare, Spares: 8},
+		},
+		Seed: 77, Workers: 1,
 	}
 	ref, err := Run(cfg, w)
 	if err != nil {
@@ -323,7 +327,7 @@ func TestCampaignScenarioConformance(t *testing.T) {
 // per-bank injection imbalance under a one-crossbar-per-bank layout.
 func TestCampaignSkewSpreadsExposure(t *testing.T) {
 	org := mmpu.Custom(45, 16, 1)
-	cfg := Config{Org: org, M: 15, K: 2, ECCEnabled: true, Seed: 5, Workers: 4}
+	cfg := Config{Config: pmem.Config{Org: org, M: 15, K: 2, ECCEnabled: true}, Seed: 5, Workers: 4}
 	res, err := Run(cfg, Campaign{Rounds: 30, Model: "transient", SER: 1e6, Skew: 3})
 	if err != nil {
 		t.Fatal(err)

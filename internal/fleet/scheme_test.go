@@ -11,6 +11,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/ecc"
 	"repro/internal/mmpu"
+	"repro/internal/pmem"
 )
 
 // TestSchemeDeterministicAcrossWorkers: the Hamming-backed campaign
@@ -108,8 +109,8 @@ func TestNewSchemeDeterministicAcrossWorkers(t *testing.T) {
 // 45×45 default geometry rejects.
 func newSchemeCfg(scheme string, workers int) Config {
 	return Config{
-		Org: mmpu.Custom(60, 4, 2), M: 15, K: 2, ECCEnabled: true,
-		Scheme: scheme, Workers: workers, Seed: 42,
+		Config:  pmem.Config{Org: mmpu.Custom(60, 4, 2), M: 15, K: 2, ECCEnabled: true, Scheme: scheme},
+		Workers: workers, Seed: 42,
 	}
 }
 

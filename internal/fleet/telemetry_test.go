@@ -3,9 +3,12 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/mmpu"
+	"repro/internal/pmem"
 	"repro/internal/telemetry"
 )
 
@@ -15,7 +18,7 @@ func telemetrySnapshotJSON(t *testing.T, workers int, w Workload) []byte {
 	t.Helper()
 	reg := telemetry.New()
 	cfg := Config{
-		Org: mmpu.Custom(45, 32, 1), M: 15, K: 2, ECCEnabled: true,
+		Config:  pmem.Config{Org: mmpu.Custom(45, 32, 1), M: 15, K: 2, ECCEnabled: true},
 		Workers: workers, Seed: 42, Telemetry: reg,
 	}
 	if _, err := Run(cfg, w); err != nil {
@@ -53,38 +56,85 @@ func TestTelemetrySnapshotWorkerInvariant(t *testing.T) {
 }
 
 // TestTelemetrySeriesMatchResult cross-checks the live series against the
-// Result the same run reports: the counters are a second, independently
-// accumulated account of the identical work, so any disagreement means an
-// instrumentation point is missing or double-counted.
+// Result the same run reports: the memory's per-bank series and the
+// machines' ECC probes are a second, independently accumulated account of
+// the identical work, so any disagreement means an instrumentation point
+// is missing or double-counted. The fleet's own series are the per-bank
+// job counts and the campaign counts, added from the Result.
 func TestTelemetrySeriesMatchResult(t *testing.T) {
-	reg := telemetry.New()
-	cfg := Config{
-		Org: testOrg(), M: 15, K: 2, ECCEnabled: true,
-		Workers: 3, Seed: 42, Telemetry: reg,
-	}
-	res, err := Run(cfg, MixedScrub{Rounds: 2, SIMDPerRound: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	checks := []struct {
-		key  string
-		want int64
-	}{
-		{"fleet_scrubs_total", res.Scrubs},
-		{"fleet_simd_ops_total", res.SIMDOps},
-		{"fleet_corrected_total", res.Corrected},
-		{"fleet_uncorrectable_total", res.Uncorrectable},
-		{`ecc_critical_ops_total{scheme="diagonal"}`, int64(res.Machine.CriticalOps)},
-		{`ecc_input_checks_total{scheme="diagonal"}`, int64(res.Machine.InputChecks)},
-		{`ecc_corrections_total{scheme="diagonal"}`, int64(res.Machine.Corrections)},
-	}
-	for _, c := range checks {
-		if got := snap.Counter(c.key); got != c.want {
-			t.Errorf("%s = %d, want %d (from Result)", c.key, got, c.want)
+	run := func(t *testing.T, w Workload) (Result, telemetry.Snapshot) {
+		t.Helper()
+		reg := telemetry.New()
+		cfg := testCfg(3)
+		cfg.Telemetry = reg
+		res, err := Run(cfg, w)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res, reg.Snapshot()
 	}
-	if jobs := snap.CounterFamily("fleet_jobs_total"); jobs != res.Jobs {
-		t.Errorf("sum fleet_jobs_total = %d, want %d", jobs, res.Jobs)
+	for _, w := range []Workload{MixedScrub{Rounds: 2, SIMDPerRound: 1}, FaultStorm{Bursts: 2, SER: 1e6, Hours: 1}} {
+		t.Run(w.Name(), func(t *testing.T) {
+			res, snap := run(t, w)
+			if res.Scrubs == 0 || res.SIMDOps+res.Injected == 0 {
+				t.Fatalf("vacuous run: %+v", res)
+			}
+			families := []struct {
+				name string
+				want int64
+			}{
+				{"pmem_compute_total", res.SIMDOps},
+				{"pmem_rmw_total", res.Loads},
+				{"pmem_scrubs_total", res.Scrubs},
+				{"pmem_scrub_corrected_total", res.Corrected},
+				{"pmem_scrub_uncorrectable_total", res.Uncorrectable},
+				{"pmem_injected_total", res.Injected},
+				{"fleet_jobs_total", res.Jobs},
+			}
+			for _, f := range families {
+				if got := snap.CounterFamily(f.name); got != f.want {
+					t.Errorf("sum %s = %d, want %d (from Result)", f.name, got, f.want)
+				}
+			}
+			series := []struct {
+				key  string
+				want int64
+			}{
+				{`ecc_critical_ops_total{scheme="diagonal"}`, int64(res.Machine.CriticalOps)},
+				{`ecc_input_checks_total{scheme="diagonal"}`, int64(res.Machine.InputChecks)},
+				{`ecc_corrections_total{scheme="diagonal"}`, int64(res.Machine.Corrections)},
+				{`ecc_uncorrectable_total{scheme="diagonal"}`, int64(res.Machine.Uncorrectable)},
+			}
+			for _, c := range series {
+				if got := snap.Counter(c.key); got != c.want {
+					t.Errorf("%s = %d, want %d (from Result)", c.key, got, c.want)
+				}
+			}
+			// The memory's series replaced the fleet's rollups of the same
+			// work.
+			for _, name := range []string{"fleet_simd_ops_total", "fleet_loads_total", "fleet_scrubs_total",
+				"fleet_corrected_total", "fleet_uncorrectable_total", "fleet_injected_total"} {
+				for _, c := range snap.Counters {
+					if c.Name == name {
+						t.Errorf("retired series %s still recorded", name)
+					}
+				}
+			}
+		})
 	}
+	t.Run("campaign", func(t *testing.T) {
+		res, snap := run(t, Campaign{Rounds: 2, Model: "transient", SER: 3e5})
+		if res.Campaign.Injected == 0 {
+			t.Fatal("campaign injected nothing")
+		}
+		if got := snap.Counter("campaign_rounds_total"); got != res.CampaignRounds {
+			t.Errorf("campaign_rounds_total = %d, want %d", got, res.CampaignRounds)
+		}
+		for o, want := range res.Campaign.Counts {
+			key := fmt.Sprintf("campaign_outcomes_total{outcome=%q}", campaign.Outcome(o).String())
+			if got := snap.Counter(key); got != want {
+				t.Errorf("%s = %d, want %d (from Result)", key, got, want)
+			}
+		}
+	})
 }

@@ -90,14 +90,16 @@ func (u Uniform) Plan(org mmpu.Organization, seed int64) []Job {
 	return jobs
 }
 
-// HotBank draws each job's bank from a Zipfian distribution, concentrating
-// traffic on a few hot banks — the skewed access pattern under which
-// reliability-mechanism overheads stop hiding behind idle banks.
+// HotBank draws each job's bank from a Zipfian distribution of exponent
+// hotBankSkew, concentrating traffic on a few hot banks — the skewed
+// access pattern under which reliability-mechanism overheads stop hiding
+// behind idle banks. Each job is one SIMD op.
 type HotBank struct {
-	Jobs      int     // total jobs (default: 4 per crossbar)
-	OpsPerJob int     // SIMD ops per job (default 1)
-	Skew      float64 // Zipf exponent s > 1 (default 1.5)
+	Jobs int // total jobs (default: 4 per crossbar)
 }
+
+// hotBankSkew is HotBank's Zipf exponent s > 1.
+const hotBankSkew = 1.5
 
 // Name implements Workload.
 func (h HotBank) Name() string { return "hotbank" }
@@ -108,18 +110,10 @@ func (h HotBank) Plan(org mmpu.Organization, seed int64) []Job {
 	if total <= 0 {
 		total = 4 * org.Crossbars()
 	}
-	per := h.OpsPerJob
-	if per <= 0 {
-		per = 1
-	}
-	s := h.Skew
-	if s <= 1 {
-		s = 1.5
-	}
 	rng := rand.New(rand.NewSource(seed))
 	var zipf *rand.Zipf
 	if org.Banks > 1 {
-		zipf = rand.NewZipf(rng, s, 1, uint64(org.Banks-1))
+		zipf = rand.NewZipf(rng, hotBankSkew, 1, uint64(org.Banks-1))
 	}
 	jobs := make([]Job, 0, total)
 	for j := 0; j < total; j++ {
@@ -128,11 +122,7 @@ func (h HotBank) Plan(org mmpu.Organization, seed int64) []Job {
 			bank = int(zipf.Uint64())
 		}
 		xb := rng.Intn(org.PerBank)
-		ops := make([]Op, per)
-		for i := range ops {
-			ops[i] = Op{Kind: OpSIMD}
-		}
-		jobs = append(jobs, Job{Bank: bank, Crossbar: xb, Ops: ops})
+		jobs = append(jobs, Job{Bank: bank, Crossbar: xb, Ops: []Op{{Kind: OpSIMD}}})
 	}
 	return jobs
 }

@@ -20,7 +20,8 @@ import (
 // ExecuteSIMDCols runs a SIMPLER mapping in every selected column
 // simultaneously. Cell i of the mapping is row i of the crossbar; each
 // column computes the function on its own inputs, which must already be
-// loaded in rows [0, NumInputs) of that column.
+// loaded in rows [0, NumInputs) of that column. cols holds one bit per
+// crossbar column; a mask of any other length is an error.
 func (m *Machine) ExecuteSIMDCols(mp *synth.Mapping, cols *bitmat.Vec) error {
 	return m.execute(shifter.ColParallel, mp, cols)
 }

@@ -502,7 +502,8 @@ func (m *Machine) Scrub() (corrected, uncorrectable int) {
 // ExecuteSIMD runs a SIMPLER mapping in every selected row simultaneously
 // (the same in-row gate sequence applied with MAGIC's row parallelism,
 // Fig 1a). Each row computes the function on its own input data, which
-// must already be loaded in cells [0, NumInputs) of that row.
+// must already be loaded in cells [0, NumInputs) of that row. rows holds
+// one bit per crossbar row; a mask of any other length is an error.
 //
 // With ECC enabled the controller first checks every block-column that
 // holds function inputs (correcting single soft errors), then executes,
@@ -524,10 +525,23 @@ type span struct{ lo, hi int }
 // across its whole column group, so HomeColumns widens block columns to
 // every unit that covers them; no code's unit spans block rows, so those
 // are never widened. A nil sch (ComputeCost's unknown scheme) widens
-// nothing.
+// nothing. A mapping that reuses input cells (synth.Opts.ReuseInputs)
+// writes below NumInputs, so its working lines start at the lowest cell
+// any step writes.
 func blockLines(sch ecc.Scheme, m int, mp *synth.Mapping, o shifter.Orientation) (in, work span) {
-	in = span{0, (mp.Netlist.NumInputs() + m - 1) / m}
-	work = span{mp.Netlist.NumInputs() / m, (mp.RowSize-1)/m + 1}
+	nin := mp.Netlist.NumInputs()
+	low := nin
+	for i := range mp.Steps {
+		s := &mp.Steps[i] // not a copy: this scan runs on every compute
+		if s.Kind != synth.StepInit {
+			low = min(low, s.Cell)
+		}
+		for _, c := range s.Init {
+			low = min(low, c)
+		}
+	}
+	in = span{0, (nin + m - 1) / m}
+	work = span{low / m, (mp.RowSize-1)/m + 1}
 	if sch == nil || o != shifter.RowParallel {
 		return in, work
 	}
@@ -559,6 +573,10 @@ func (m *Machine) execute(o shifter.Orientation, mp *synth.Mapping, sel *bitmat.
 	if mp.RowSize > m.cfg.N {
 		return fmt.Errorf("machine: mapping needs %d cells, crossbar %s has %d",
 			mp.RowSize, [...]string{"row", "column"}[o], m.cfg.N)
+	}
+	if sel.Len() != m.cfg.N {
+		return fmt.Errorf("machine: selection mask has %d lanes, crossbar has %d",
+			sel.Len(), m.cfg.N)
 	}
 	var in, work span // empty for the unprotected baseline
 	if m.Protected() {

@@ -424,6 +424,71 @@ func TestExecuteRejectsOversizedMapping(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsMaskLength: a selection mask has exactly one bit per
+// lane. Any other length is an error under every scheme and the baseline,
+// in both orientations, and it is reported before the machine touches its
+// memory, its check bits or its statistics.
+func TestExecuteRejectsMaskLength(t *testing.T) {
+	cfgs := []Config{{N: 60, M: 15, K: 2}}
+	for _, s := range ecc.SchemeNames() {
+		cfgs = append(cfgs, Config{N: 60, M: 15, K: 2, ECCEnabled: true, Scheme: s})
+	}
+	mp := adder8(t)
+	for _, cfg := range cfgs {
+		for _, o := range []shifter.Orientation{shifter.RowParallel, shifter.ColParallel} {
+			for _, lanes := range []int{40, 70} {
+				m := MustNew(cfg)
+				loadRandomInputs(t, m, mp, 5)
+				mem, checks, stats := m.MEM().Mat().Clone(), m.ECCImage(), m.Stats()
+				sel := bitmat.NewVec(lanes)
+				sel.Fill(true)
+				var err error
+				if o == shifter.RowParallel {
+					err = m.ExecuteSIMD(mp, sel)
+				} else {
+					err = m.ExecuteSIMDCols(mp, sel)
+				}
+				name := fmt.Sprintf("scheme %q (ECC %v), orientation %d, %d lanes", cfg.Scheme, cfg.ECCEnabled, o, lanes)
+				if err == nil {
+					t.Fatalf("%s: mask accepted", name)
+				}
+				if !m.MEM().Mat().Equal(mem) || m.Stats() != stats {
+					t.Fatalf("%s: memory or stats changed by a rejected call", name)
+				}
+				if checks != nil && !m.ECCImage().Equal(checks) {
+					t.Fatalf("%s: check bits changed by a rejected call", name)
+				}
+			}
+		}
+	}
+}
+
+// TestReusedInputsRebuilt: a mapping built with ReuseInputs overwrites
+// input cells below the first working block column (Table I sin at n=90
+// writes cell 12 of its 24 inputs), so the rebuild must start there.
+func TestReusedInputsRebuilt(t *testing.T) {
+	bm, _ := circuits.ByName("sin")
+	mp, err := synth.MapWith(bm.Build().LowerToNOR(), 90, synth.Opts{ReuseInputs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{ecc.SchemeDiagonal, ecc.SchemeHamming} {
+		m := MustNew(Config{N: 90, M: 15, K: 2, ECCEnabled: true, Scheme: scheme})
+		inputs := loadRandomInputs(t, m, mp, 3)
+		if err := m.ExecuteSIMD(mp, m.MEM().AllRows()); err != nil {
+			t.Fatal(err)
+		}
+		if !m.CheckConsistent() {
+			t.Fatalf("%s: check bits stale after a pipeline that reuses its input cells", scheme)
+		}
+		for r, in := range inputs {
+			if got, want := m.ReadOutputs(mp, r), bm.Ref(in); !slices.Equal(got, want) {
+				t.Fatalf("%s: row %d outputs %v, want %v", scheme, r, got, want)
+			}
+		}
+	}
+}
+
 func TestStatsAccumulation(t *testing.T) {
 	m := MustNew(testCfg)
 	mp := adder8(t)

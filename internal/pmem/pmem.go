@@ -61,6 +61,14 @@ type Config struct {
 	Repair repair.Config
 }
 
+// Machine is the configuration every crossbar of the memory is built with.
+func (cfg Config) Machine() machine.Config {
+	return machine.Config{
+		N: cfg.Org.CrossbarN, M: cfg.M, K: cfg.K, ECCEnabled: cfg.ECCEnabled,
+		Scheme: cfg.Scheme, Repair: cfg.Repair,
+	}
+}
+
 // Memory is a bank-organized set of protected crossbars.
 type Memory struct {
 	cfg   Config
@@ -116,7 +124,7 @@ func (m *Memory) Instrument(reg *telemetry.Registry) {
 	}
 	scheme := "none"
 	if m.cfg.ECCEnabled {
-		scheme = (machine.Config{Scheme: m.cfg.Scheme}).SchemeName()
+		scheme = m.cfg.Machine().SchemeName()
 	}
 	m.cfg.Org.ForEachCrossbar(func(bank, xb int) {
 		t := machine.TelemetryFor(reg, scheme)
@@ -144,10 +152,7 @@ func New(cfg Config) (*Memory, error) {
 		banks: make([]sync.Mutex, cfg.Org.Banks),
 	}
 	for i := range m.xbs {
-		xb, err := machine.New(machine.Config{
-			N: cfg.Org.CrossbarN, M: cfg.M, K: cfg.K, ECCEnabled: cfg.ECCEnabled,
-			Scheme: cfg.Scheme, Repair: cfg.Repair,
-		})
+		xb, err := machine.New(cfg.Machine())
 		if err != nil {
 			return nil, err
 		}
@@ -245,8 +250,10 @@ func (m *Memory) ExecuteSIMD(bank, xb int, mp *synth.Mapping, rows *bitmat.Vec) 
 		return err
 	}
 	m.probe(bank).computes.Inc()
-	m.ring.Emit(telemetry.EvCompute, int64(mach.MEM().Stats().Cycles),
-		bank, xb, int64(mp.Latency()), int64(mp.CriticalOps()))
+	if m.ring != nil { // CriticalOps scans every step: skip it when nothing records
+		m.ring.Emit(telemetry.EvCompute, int64(mach.MEM().Stats().Cycles),
+			bank, xb, int64(mp.Latency()), int64(mp.CriticalOps()))
+	}
 	return nil
 }
 
@@ -401,10 +408,10 @@ func (m *Memory) ScrubAll() (corrected, uncorrectable int) {
 
 // InjectModel exposes one crossbar to a fault model for `hours` under the
 // bank lock, drawing from rng — the fault-overlay primitive of the serving
-// layer. Transient models flip bits exactly as a faults.Injector with the
-// same seed does; stuck-at models additionally land in the crossbar's
-// defect set, so the cells re-assert on every write and the repair layer
-// can observe and retire them. Returns the number of affected cells.
+// layer and the fleet's fault bursts. Transient models flip their cells
+// once; stuck-at models additionally land in the crossbar's defect set,
+// so the cells re-assert on every write and the repair layer can observe
+// and retire them. Returns the number of affected cells.
 func (m *Memory) InjectModel(bank, xb int, model faults.Model, rng *rand.Rand, hours float64) int {
 	m.banks[bank].Lock()
 	defer m.banks[bank].Unlock()

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/circuits"
-	"repro/internal/machine"
 	"repro/internal/netlist"
 	"repro/internal/pmem"
 	"repro/internal/synth"
@@ -97,10 +96,7 @@ func buildMatcher(query uint64) *netlist.Netlist {
 // It is the shared currency of the live server's and the replay's
 // admission budgets, so -admit means the same thing in both regimes.
 func computeCostFor(cfg pmem.Config) func(*ComputePlan) int64 {
-	mc := machine.Config{
-		N: cfg.Org.CrossbarN, M: cfg.M, K: cfg.K,
-		ECCEnabled: cfg.ECCEnabled, Scheme: cfg.Scheme,
-	}
+	mc := cfg.Machine()
 	cache := map[*ComputePlan]int64{}
 	return func(p *ComputePlan) int64 {
 		if p == nil || p.Mapping == nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ecc"
 	"repro/internal/faults"
-	"repro/internal/machine"
 	"repro/internal/pmem"
 	"repro/internal/telemetry"
 )
@@ -67,7 +66,7 @@ func writeSurcharge(cfg pmem.Config) int64 {
 	if !cfg.ECCEnabled || cfg.M <= 0 {
 		return 0
 	}
-	spec, err := ecc.SchemeByName((machine.Config{Scheme: cfg.Scheme}).SchemeName())
+	spec, err := ecc.SchemeByName(cfg.Machine().SchemeName())
 	if err != nil {
 		return 0
 	}
