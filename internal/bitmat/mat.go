@@ -13,6 +13,7 @@ import (
 type Mat struct {
 	rows, cols int
 	r          []*Vec
+	w          []uint64 // the flat array, row after row
 }
 
 // NewMat returns an all-zero rows×cols bit matrix.
@@ -20,9 +21,9 @@ func NewMat(rows, cols int) *Mat {
 	if rows < 0 || cols < 0 {
 		panic("bitmat: negative matrix dimension")
 	}
-	m := &Mat{rows: rows, cols: cols, r: make([]*Vec, rows)}
 	wpr := (cols + 63) / 64
 	flat := make([]uint64, rows*wpr)
+	m := &Mat{rows: rows, cols: cols, r: make([]*Vec, rows), w: flat}
 	vs := make([]Vec, rows)
 	for i := range vs {
 		vs[i] = Vec{n: cols, w: flat[i*wpr : (i+1)*wpr : (i+1)*wpr]}
@@ -71,6 +72,17 @@ func (m *Mat) checkCol(c int) {
 func (m *Mat) Row(r int) *Vec {
 	m.checkRow(r)
 	return m.r[r]
+}
+
+// RowWords returns the live words of rows [lo,hi) as one slice, row after
+// row, (Cols+63)/64 words each — the flat array the row vectors view, for
+// walks over consecutive rows.
+func (m *Mat) RowWords(lo, hi int) []uint64 {
+	if lo < 0 || lo > hi || hi > m.rows {
+		panic(rangeError{"bitmat: rows [%d,%d) out of range", lo, hi})
+	}
+	wpr := (m.cols + 63) >> 6
+	return m.w[lo*wpr : hi*wpr : hi*wpr]
 }
 
 // SetRow copies src into row r.

@@ -142,14 +142,27 @@ func (f Finding) DataCell(m int) (r, c int) {
 }
 
 // CheckBlockRow checks and corrects every block of block row br with one
-// line-parallel fold, appending a Finding per non-clean block to out.
+// line-parallel fold, appending a Finding per non-clean block to out. The
+// folded lines XOR the stored ones into the block row's syndrome lines, so
+// a clean block row is one whole-line compare, and only blocks with a
+// non-zero syndrome segment are decoded.
 func (cb *CheckBits) CheckBlockRow(mem *bitmat.Mat, br int, out []Finding) []Finding {
-	l, c := cb.foldBlockRow(mem, br)
+	m, nw := cb.p.M, cb.nw
+	l, c := cb.acc[:nw+2], cb.acc[nw+2:2*nw+4]
+	cb.foldBlockRow(mem, br, l, c)
+	sl, sc := cb.checkLines(br)
+	var dirty uint64
+	for i := range l {
+		l[i] ^= sl[i]
+		c[i] ^= sc[i]
+		dirty |= l[i] | c[i]
+	}
+	if dirty == 0 {
+		return out
+	}
 	for bc := 0; bc < cb.side; bc++ {
-		u := br*cb.side + bc
-		lead, counter := cb.lineParity(l, c, bc)
-		if d := cb.repair(mem, br, bc, cb.lead[u]^lead, cb.counter[u]^counter); d.Kind != NoError {
-			out = append(out, Finding{BR: br, BC: bc, Diag: d})
+		if lead, ctrRev := segment(l, bc*m, m), segment(c, bc*m, m); lead|ctrRev != 0 {
+			out = append(out, Finding{BR: br, BC: bc, Diag: cb.repair(mem, br, bc, lead, rev(ctrRev, m))})
 		}
 	}
 	return out

@@ -136,12 +136,48 @@ func (ref *refCheckBits) mismatch(cb *CheckBits) string {
 	return ""
 }
 
+// layoutFault names the first stored check-line word holding a set bit
+// outside the line's row — a pad word, or a row bit at or above N — or
+// returns "". The accessors never read those bits, but Equal compares raw
+// words, so a stray bit there would make two equal states unequal.
+func layoutFault(cb *CheckBits) string {
+	for br := 0; br < cb.side; br++ {
+		l, c := cb.checkLines(br)
+		for f, line := range [][]uint64{l, c} {
+			for i, w := range line {
+				valid := 0 // row bits in word i: none in either pad
+				if i > 0 {
+					valid = min(max(cb.p.N-(i-1)*64, 0), 64)
+				}
+				if valid < 64 && w>>uint(valid) != 0 {
+					return fmt.Sprintf("block row %d, %s line, word %d = %#x",
+						br, [...]string{"leading", "counter"}[f], i, w)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// randomWrite returns a random selection mask over n lanes and a random
+// new line, which also differs from the old one outside the mask, so a
+// dropped mask shows.
+func randomWrite(rng *rand.Rand, n int) (mask, cur *bitmat.Vec) {
+	mask, cur = bitmat.NewVec(n), bitmat.NewVec(n)
+	for j := 0; j < n; j++ {
+		mask.Set(j, rng.Intn(3) == 0)
+		cur.Set(j, rng.Intn(2) == 0)
+	}
+	return mask, cur
+}
+
 // FuzzCheckBitsMatchBitSerial pins every word-parallel fold of CheckBits
 // to the bit-serial spec: the line-parallel Build, RebuildBlock, row- and
 // column-parallel updates under random masks (whose new lines also
 // differ outside the mask, so a dropped mask shows), Syndrome,
 // CorrectBlock's diagnoses, and the line-parallel block-row check and
-// Scrub, compared block by block after every step. The geometries cover
+// Scrub, compared block by block after every step, with every stored
+// line's pad words and bits at or above N still zero. The geometries cover
 // the smallest odd block, the paper's m=15 with rows of one (60), two
 // (45, 90) and more words, word-straddling m=11 segments, and m=63,
 // whose second block straddles bit 64 of every row, at two and three
@@ -165,6 +201,9 @@ func FuzzCheckBitsMatchBitSerial(f *testing.F) {
 				if at := ref.mismatch(cb); at != "" {
 					t.Fatalf("%v after %s: check bits differ from the bit-serial spec at %s", p, step, at)
 				}
+				if at := layoutFault(cb); at != "" {
+					t.Fatalf("%v after %s: stray bit outside the check lines' rows at %s", p, step, at)
+				}
 				if !memA.Equal(memB) {
 					t.Fatalf("%v after %s: memories diverged", p, step)
 				}
@@ -182,11 +221,7 @@ func FuzzCheckBitsMatchBitSerial(f *testing.F) {
 					ref.rebuildBlock(memB, line/p.M, c/p.M)
 					compare("RebuildBlock")
 				case 1, 2: // a line-parallel write under a random mask
-					mask, cur := bitmat.NewVec(p.N), bitmat.NewVec(p.N)
-					for j := 0; j < p.N; j++ {
-						mask.Set(j, rng.Intn(3) == 0)
-						cur.Set(j, rng.Intn(2) == 0)
-					}
+					mask, cur := randomWrite(rng, p.N)
 					if op == 1 {
 						old := memA.Row(line).Clone()
 						cb.UpdateRowWrite(line, old, cur, mask)
@@ -272,6 +307,83 @@ func FuzzCheckBitsMatchBitSerial(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCheckBitsMatchBitSerialAtPaperSize runs the check lines at the
+// paper's geometry, N=1020 and M=15: 16 words per row, the fold's generic
+// path, where the fuzz target stops at three. Build, a row and a column
+// write under random masks, and a scrub that corrects one injected data
+// cell and one check bit of each family, each compared block by block
+// with the bit-serial spec. The injected cells sit in blocks that
+// straddle a word boundary.
+func TestCheckBitsMatchBitSerialAtPaperSize(t *testing.T) {
+	p := PaperParams()
+	s := p.BlocksPerSide()
+	memA := randomMemory(7, p)
+	memB := memA.Clone()
+	cb, ref := Build(p, memA), refBuild(p, memB)
+	compare := func(step string) {
+		t.Helper()
+		if at := ref.mismatch(cb); at != "" {
+			t.Fatalf("after %s: check bits differ from the bit-serial spec at %s", step, at)
+		}
+		if at := layoutFault(cb); at != "" {
+			t.Fatalf("after %s: stray bit outside the check lines' rows at %s", step, at)
+		}
+		if !memA.Equal(memB) {
+			t.Fatalf("after %s: memories diverged", step)
+		}
+	}
+	compare("Build")
+
+	rng := rand.New(rand.NewSource(7))
+	const r, c = 509, 1000 // local row 14 of block row 33; local column 10 of block column 66
+	mask, cur := randomWrite(rng, p.N)
+	old := memA.Row(r).Clone()
+	cb.UpdateRowWrite(r, old, cur, mask)
+	ref.updateRowWrite(r, old, cur, mask)
+	memA.Row(r).MaskedMerge(cur, mask)
+	memB.Row(r).MaskedMerge(cur, mask)
+	compare("UpdateRowWrite")
+
+	mask, cur = randomWrite(rng, p.N)
+	old = memA.Col(c)
+	cb.UpdateColumnWrite(c, old, cur, mask)
+	ref.updateColumnWrite(c, old, cur, mask)
+	old.MaskedMerge(cur, mask)
+	memA.SetCol(c, old)
+	memB.SetCol(c, old)
+	compare("UpdateColumnWrite")
+
+	want := memA.Clone()
+	memA.Flip(5*15+2, 4*15+5) // block (5,4), columns 60–74
+	memB.Flip(5*15+2, 4*15+5)
+	cb.FlipLead(12, 40, 17) // block (40,17), columns 255–269
+	ref.lead[ref.unit(40, 17)][12] = !ref.lead[ref.unit(40, 17)][12]
+	cb.FlipCounter(3, 67, 38) // block (67,38), columns 570–584
+	ref.counter[ref.unit(67, 38)][3] = !ref.counter[ref.unit(67, 38)][3]
+	compare("injection")
+	var wantRep ScrubReport
+	for br := 0; br < s; br++ {
+		for bc := 0; bc < s; bc++ {
+			wantRep.BlocksChecked++
+			switch ref.correctBlock(memB, br, bc).Kind {
+			case DataError:
+				wantRep.DataCorrected++
+			case LeadCheckError, CounterCheckError:
+				wantRep.CheckCorrected++
+			case Uncorrectable:
+				wantRep.Uncorrectable++
+			}
+		}
+	}
+	if rep := cb.Scrub(memA); rep != wantRep || rep.DataCorrected != 1 || rep.CheckCorrected != 2 || rep.Uncorrectable != 0 {
+		t.Fatalf("Scrub = %+v, spec %+v, want 1 data and 2 check corrections", rep, wantRep)
+	}
+	compare("Scrub")
+	if !memA.Equal(want) || !cb.Equal(Build(p, memA)) {
+		t.Fatal("the scrub did not restore the state before the injection")
+	}
 }
 
 // TestCheckBitsZeroAllocs: the diagonal code's line updates, block

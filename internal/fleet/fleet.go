@@ -202,6 +202,7 @@ func Run(cfg Config, w Workload) (Result, error) {
 			reg.Counter("fleet_jobs_total", "bank", strconv.Itoa(b)).Add(t.Jobs)
 		}
 		reg.Counter("campaign_rounds_total").Add(total.CampaignRounds)
+		reg.Counter("campaign_injected_total").Add(total.Campaign.Injected)
 		for o, n := range total.Campaign.Counts {
 			reg.Counter("campaign_outcomes_total", "outcome", campaign.Outcome(o).String()).Add(n)
 		}

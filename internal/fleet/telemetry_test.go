@@ -130,6 +130,9 @@ func TestTelemetrySeriesMatchResult(t *testing.T) {
 		if got := snap.Counter("campaign_rounds_total"); got != res.CampaignRounds {
 			t.Errorf("campaign_rounds_total = %d, want %d", got, res.CampaignRounds)
 		}
+		if got := snap.Counter("campaign_injected_total"); got != res.Campaign.Injected {
+			t.Errorf("campaign_injected_total = %d, want %d", got, res.Campaign.Injected)
+		}
 		for o, want := range res.Campaign.Counts {
 			key := fmt.Sprintf("campaign_outcomes_total{outcome=%q}", campaign.Outcome(o).String())
 			if got := snap.Counter(key); got != want {

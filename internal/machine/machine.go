@@ -585,8 +585,8 @@ func (m *Machine) execute(o shifter.Orientation, mp *synth.Mapping, sel *bitmat.
 	for i := in.lo; i < in.hi; i++ {
 		m.inputCheck(o, i)
 	}
-	for _, s := range mp.Steps {
-		m.step(o, s, sel)
+	for i := range mp.Steps {
+		m.step(o, &mp.Steps[i], sel)
 	}
 	for i := work.lo; i < work.hi; i++ {
 		for j := 0; j < m.cfg.N/m.cfg.M; j++ {
@@ -615,7 +615,7 @@ func (m *Machine) inputCheck(o shifter.Orientation, idx int) {
 // protocol: the written line is copied out before and after the step,
 // each copy one MEM cycle, and criticalUpdate folds the difference into
 // the check bits.
-func (m *Machine) step(o shifter.Orientation, s synth.Step, sel *bitmat.Vec) {
+func (m *Machine) step(o shifter.Orientation, s *synth.Step, sel *bitmat.Vec) {
 	rows := o == shifter.RowParallel
 	if s.Kind == synth.StepInit {
 		if rows {

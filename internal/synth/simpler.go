@@ -72,8 +72,8 @@ func (m *Mapping) Latency() int { return m.GateCycles + m.InitCycles + m.ConstCy
 // CriticalOps returns the number of output-writing (ECC-critical) steps.
 func (m *Mapping) CriticalOps() int {
 	n := 0
-	for _, s := range m.Steps {
-		if s.Critical {
+	for i := range m.Steps {
+		if m.Steps[i].Critical {
 			n++
 		}
 	}
