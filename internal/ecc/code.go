@@ -238,12 +238,12 @@ func (cb *CheckBits) foldBlockRow(mem *bitmat.Mat, br int, l, c []uint64) {
 	rows, h := mem.RowWords(br*m, br*m+m), cb.hi[nw:2*nw]
 	down, wrap := uint(m-1)&63, uint(65-m)&63
 	if nw > 2 {
-		lr, cr := l[1:nw+1], c[1:nw+1]
-		clear(lr)
-		clear(cr)
+		lrow, crow := l[1:nw+1], c[1:nw+1]
+		clear(lrow)
+		clear(crow)
 		for i, j := 0, (m-1)*nw; j >= 0; i, j = i+nw, j-nw { // rows k and m−1−k
-			rot1Xor(lr, rows[j:], h, down, wrap)
-			rot1Xor(cr, rows[i:], h, down, wrap)
+			rot1Xor(lrow, rows[j:], h, down, wrap)
+			rot1Xor(crow, rows[i:], h, down, wrap)
 		}
 		return
 	}
